@@ -470,9 +470,12 @@ Expected<std::string> AsyncRequest::wait() {
 }
 
 void Instance::on_network_message(mercury::Message msg) {
-    // Called from arbitrary threads (fabric slow path). Enqueue for the
-    // progress ULT. The CondVar enqueues waiters before releasing the held
-    // mutex, so signaling after the push can never be lost.
+    // Called on the delivering thread: the sender, or the fabric timer for
+    // delayed links. A reply completes its pending call right here, waking
+    // the caller without a hop through the progress loop. Requests are
+    // enqueued for the progress ULT; the CondVar enqueues waiters before
+    // releasing the held mutex, so signaling after the push is never lost.
+    if (msg.kind == mercury::Message::Kind::Response) return dispatch_response(std::move(msg));
     m_queue_mutex.lock();
     m_queue.push_back(std::move(msg));
     m_queue_mutex.unlock();
@@ -501,17 +504,15 @@ void Instance::progress_loop() {
     mercury::Endpoint* ep = m_endpoint.get();
     mercury::Message msg;
     for (;;) {
-        // Drain the lock-free fast inbox first: the common steady-state
-        // source. Each message is dispatched immediately (no handoff through
-        // m_queue), which is what removes the timer hop + fabric lock from
-        // the clean-link round trip.
+        // Both inboxes carry requests only (replies complete at delivery,
+        // see on_network_message). Drain the lock-free fast inbox first: the
+        // common steady-state source. Each request is dispatched immediately
+        // (no handoff through m_queue), which is what removes the timer hop
+        // + fabric lock from the clean-link round trip.
         bool did_work = false;
         while (ep->poll_fast(msg)) {
             did_work = true;
-            if (msg.kind == mercury::Message::Kind::Request)
-                dispatch_request(std::move(msg));
-            else
-                dispatch_response(std::move(msg));
+            dispatch_request(std::move(msg));
         }
         // Then batch-drain the slow queue, dropping the lock around each
         // dispatch so producers never block behind handler bookkeeping.
@@ -520,10 +521,7 @@ void Instance::progress_loop() {
             msg = m_queue.pop_front();
             m_queue_mutex.unlock();
             did_work = true;
-            if (msg.kind == mercury::Message::Kind::Request)
-                dispatch_request(std::move(msg));
-            else
-                dispatch_response(std::move(msg));
+            dispatch_request(std::move(msg));
             m_queue_mutex.lock();
         }
         if (m_stopping.load()) {
@@ -551,9 +549,10 @@ void Instance::progress_loop() {
         m_queue_mutex.unlock();
     }
     m_progress_idle.store(false, std::memory_order_relaxed);
-    // Shutdown: discard whatever is still in the fast ring, mirroring the
-    // slow queue (pending calls complete as Canceled via the sweep; request
-    // senders observe their timeout, as with any message lost to teardown).
+    // Shutdown: discard the requests still in the fast ring, mirroring the
+    // slow queue (their senders observe a timeout, as with any message lost
+    // to teardown). Replies keep completing their calls on delivery until
+    // shutdown()'s pending sweep, which cancels the rest.
     while (ep->poll_fast(msg)) {}
     m_progress_done.set();
 }

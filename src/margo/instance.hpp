@@ -365,9 +365,10 @@ class Instance : public std::enable_shared_from_this<Instance> {
     std::shared_ptr<abt::Pool> m_handler_pool;
     std::chrono::milliseconds m_default_timeout{2000};
 
-    // Incoming message queue consumed by the progress ULT. The slow-path
-    // fabric delivery lands here; fast-path messages bypass it entirely via
-    // the endpoint's SPSC ring, which the progress loop drains lock-free.
+    // Incoming request queue consumed by the progress ULT (replies never
+    // enter it: they complete at delivery). Slow-path requests land here;
+    // fast-path requests bypass it via the endpoint's SPSC ring, which the
+    // progress loop drains lock-free.
     // The ring-buffer queue recycles its slots, so steady-state traffic that
     // does reach it stays allocation-free (unlike a deque's chunk churn).
     abt::Mutex m_queue_mutex;

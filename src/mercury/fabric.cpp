@@ -339,16 +339,23 @@ bool Fabric::try_fast_send(const std::string& src, const std::string& dst, Messa
         entry->eligible = false;
         return false; // let the slow path produce Unreachable
     }
-    // The push + wakeup must hold m_deliver_mutex shared, exactly like the
-    // slow path's deliver(): Endpoint::detach() quiesces by taking it
+    // The delivery must hold m_deliver_mutex shared, exactly like the slow
+    // path's deliver(): Endpoint::detach() quiesces by taking it
     // exclusively after clearing m_attached, and the receiving instance
     // only finalizes its runtime after detach() returns. Without the lock,
-    // m_fast_wakeup() could still be signaling into the receiver's
-    // scheduler while that runtime is being torn down.
+    // the handler or m_fast_wakeup() could still be running into the
+    // receiver while that runtime is being torn down.
     std::shared_lock deliver_lk{target->m_deliver_mutex};
     if (!target->m_attached.load(std::memory_order_acquire)) {
         entry->eligible = false;
         return false;
+    }
+    if (msg.kind == Message::Kind::Response) {
+        // Replies complete at delivery: the handler resolves the caller's
+        // pending call on this thread, so only requests use the ring.
+        m_delivered.fetch_add(1, std::memory_order_relaxed);
+        target->m_handler(std::move(msg));
+        return true;
     }
     if (!target->m_fast_ring->push(std::move(msg))) return false; // ring full
     target->m_fast_wakeup();

@@ -98,8 +98,8 @@ class Fabric;
 /// Bounded lock-free message ring (Vyukov's bounded MPMC queue, used here
 /// multi-producer / single-consumer: any number of sender ULTs push, the
 /// receiving endpoint's progress loop is the only popper). Backs the fabric
-/// fast path: fault-free links enqueue here instead of going through the
-/// timer + shared_mutex delivery machinery.
+/// fast path: requests on fault-free links enqueue here instead of going
+/// through the timer + shared_mutex delivery machinery.
 ///
 /// Memory-ordering contract: each cell carries a sequence number. Producers
 /// claim a slot by CAS on the enqueue cursor, write the message, then
@@ -167,12 +167,14 @@ class Endpoint {
     // -- lock-free fast inbox (opt-in) ---------------------------------------
     //
     // A consumer that actively polls (margo's progress loop) can enable a
-    // fast inbox: messages on fault-free links are pushed straight into an
-    // MPSC ring, bypassing the timer thread and this endpoint's
-    // m_deliver_mutex/handler path entirely. `wakeup` is invoked after every
-    // push (from the sender's thread) so a parked consumer can be poked; it
-    // must be cheap, non-blocking, and safe for the endpoint's whole
-    // lifetime. There must be exactly ONE polling thread.
+    // fast inbox: requests on fault-free links are pushed straight into an
+    // MPSC ring, bypassing the timer thread and the fabric mutex. Responses
+    // on those links skip the ring: the sender's thread invokes the handler
+    // directly, so a reply never waits for the polling thread. `wakeup` is
+    // invoked after every push (from the sender's thread) so a parked
+    // consumer can be poked; it must be cheap, non-blocking, and safe for
+    // the endpoint's whole lifetime. There must be exactly ONE polling
+    // thread.
 
     /// Enable the fast inbox. Call once, before the endpoint receives
     /// traffic (margo does so at create()).

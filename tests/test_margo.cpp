@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <random>
 #include <thread>
+#include <vector>
 
 using namespace mochi;
 using namespace std::chrono_literals;
@@ -439,40 +442,42 @@ TEST(Margo, BulkThroughInstance) {
 }
 
 TEST(Margo, ShutdownCancelsPendingCalls) {
+    // Declared before the nodes, so they outlive the handler and the ULT.
+    abt::Eventual<void> received;
+    abt::Eventual<bool> outcome;
     TwoNodes nodes;
-    // Handler that never responds.
+    // Handler that never responds; it only reports that the request arrived.
     ASSERT_TRUE(nodes.server
                     ->register_rpc("blackhole", margo::k_default_provider_id,
-                                   [](const margo::Request&) {})
+                                   [&received](const margo::Request&) { received.set(); })
                     .has_value());
     auto client = nodes.client;
-    abt::Eventual<bool> outcome;
     client->runtime()->post(client->runtime()->primary_pool(), [client, &outcome] {
         margo::ForwardOptions opts;
         opts.timeout = 10000ms;
         auto r = client->forward("sim://server", "blackhole", "", opts);
         outcome.set_value(r.has_value());
     });
-    std::this_thread::sleep_for(50ms);
+    ASSERT_TRUE(received.wait_for(5s)) << "the forward never reached the server";
     client->shutdown(); // must unblock the pending forward
-    EXPECT_FALSE(outcome.wait());
+    auto ok = outcome.wait_for(5s);
+    ASSERT_TRUE(ok.has_value()) << "shutdown left the forward blocked";
+    EXPECT_FALSE(*ok);
 }
 
 TEST(Margo, ForwardDuringShutdownReturnsCanceled) {
     // A forward in flight when shutdown() sweeps the pending registry must
     // report Canceled — not Timeout, even when the timeout deadline races
     // the cancellation.
+    abt::Eventual<void> received;
+    abt::Eventual<Error::Code> outcome;
     TwoNodes nodes;
     ASSERT_TRUE(nodes.server
                     ->register_rpc("blackhole", margo::k_default_provider_id,
-                                   [](const margo::Request&) {})
+                                   [&received](const margo::Request&) { received.set(); })
                     .has_value());
     auto client = nodes.client;
-    abt::Eventual<Error::Code> outcome;
-    abt::Eventual<void> started;
-    client->runtime()->post(client->runtime()->primary_pool(),
-                            [client, &outcome, &started] {
-        started.set();
+    client->runtime()->post(client->runtime()->primary_pool(), [client, &outcome] {
         margo::ForwardOptions opts;
         opts.timeout = 10000ms;
         auto r = client->forward("sim://server", "blackhole", "", opts);
@@ -480,10 +485,213 @@ TEST(Margo, ForwardDuringShutdownReturnsCanceled) {
         // just means "not the expected Canceled".
         outcome.set_value(r ? Error::Code::Generic : r.error().code);
     });
-    started.wait();
-    std::this_thread::sleep_for(20ms);
+    ASSERT_TRUE(received.wait_for(5s)) << "the forward never reached the server";
     client->shutdown();
-    EXPECT_EQ(outcome.wait(), Error::Code::Canceled);
+    auto code = outcome.wait_for(5s);
+    ASSERT_TRUE(code.has_value()) << "shutdown left the forward blocked";
+    EXPECT_EQ(*code, Error::Code::Canceled);
+}
+
+TEST(Margo, ReplyDoesNotWaitForOriginProgressLoop) {
+    // The origin runs on one ES (the default config), which also hosts its
+    // progress loop. A non-yielding ULT occupies that ES, so the progress
+    // loop cannot run. A reply completes at delivery, on the server's
+    // thread, so a forward from an external thread still returns.
+    // Declared before the nodes: the spinner outlives any early return.
+    abt::Eventual<void> spinning;
+    abt::Eventual<void> spinner_done;
+    std::atomic<bool> release{false};
+    std::atomic<bool> spinner_gave_up{false};
+    TwoNodes nodes;
+    ASSERT_TRUE(nodes.server
+                    ->register_rpc("echo", margo::k_default_provider_id,
+                                   [](const margo::Request& req) { req.respond(req.payload()); })
+                    .has_value());
+    auto client = nodes.client;
+    client->runtime()->post(client->runtime()->primary_pool(), [&] {
+        spinning.set();
+        const auto deadline = std::chrono::steady_clock::now() + 5s;
+        while (!release.load()) {
+            if (std::chrono::steady_clock::now() >= deadline) {
+                spinner_gave_up.store(true);
+                break;
+            }
+        }
+        spinner_done.set();
+    });
+    ASSERT_TRUE(spinning.wait_for(5s)) << "the spinner never started";
+    margo::ForwardOptions opts;
+    opts.timeout = 2000ms;
+    auto r = client->forward("sim://server", "echo", "ping", opts);
+    const bool spinner_still_running = !spinner_gave_up.load();
+    release.store(true);
+    ASSERT_TRUE(spinner_done.wait_for(10s));
+    ASSERT_TRUE(r.has_value()) << r.error().message;
+    EXPECT_EQ(*r, "ping");
+    EXPECT_TRUE(spinner_still_running) << "the reply waited for the origin's ES";
+}
+
+namespace {
+
+/// Outcome of one forward in ReplyRacingShutdownCompletesOnce: how often it
+/// returned (must be exactly once) and with which code (Generic = ok).
+struct RaceSlot {
+    std::atomic<int> returns{0};
+    std::atomic<Error::Code> code{Error::Code::Generic};
+    abt::Eventual<void> done;
+
+    void record(const Expected<std::string>& r) {
+        code.store(r ? Error::Code::Generic : r.error().code);
+        returns.fetch_add(1);
+        done.set();
+    }
+};
+
+} // namespace
+
+TEST(Margo, ReplyRacingShutdownCompletesOnce) {
+    // Replies race the origin's shutdown. Depending on the seed they land
+    // before its progress loop stops, between that and the pending sweep
+    // (where they now complete the call), or after the sweep (dropped; the
+    // sweep cancels the call). Every forward, from an external thread or a
+    // ULT, returns exactly once, as ok or Canceled: never Timeout, never a
+    // hang. Delayed links cover the slow path, where the fabric timer
+    // delivers the reply.
+    constexpr int k_threads = 3;
+    constexpr int k_ults = 3;
+    constexpr int k_calls = k_threads + k_ults;
+    constexpr int k_seeds = 16;
+    for (bool delayed_link : {false, true}) {
+        for (int seed = 1; seed <= k_seeds; ++seed) {
+            SCOPED_TRACE(::testing::Message()
+                         << "seed " << seed << " delayed " << delayed_link);
+            std::mt19937 rng(static_cast<std::uint32_t>(seed));
+            std::vector<int> reply_delay_us(k_calls);
+            for (auto& d : reply_delay_us) d = static_cast<int>(rng() % 400);
+            const auto shutdown_after = std::chrono::microseconds(rng() % 400);
+            // Shared with handlers and callers: declared before the nodes,
+            // so it outlives both instances on every exit path.
+            std::atomic<int> arrived{0};
+            abt::Eventual<void> all_arrived;
+            std::vector<RaceSlot> slots(k_calls);
+
+            TwoNodes nodes;
+            if (delayed_link) {
+                mercury::LinkModel link;
+                link.latency_us = 50.0;
+                nodes.fabric->set_default_link(link);
+            }
+            margo::Instance* server = nodes.server.get();
+            ASSERT_TRUE(server
+                            ->register_rpc("slow_echo", margo::k_default_provider_id,
+                                           [&, server](const margo::Request& req) {
+                                               if (arrived.fetch_add(1) + 1 == k_calls)
+                                                   all_arrived.set();
+                                               int i = std::stoi(std::string(req.payload()));
+                                               auto delay = std::chrono::microseconds(
+                                                   reply_delay_us[i]);
+                                               server->runtime()->sleep_for(delay);
+                                               req.respond(req.payload());
+                                           })
+                            .has_value());
+
+            auto client = nodes.client;
+            auto call = [client, &slots](int i) {
+                margo::ForwardOptions opts;
+                opts.timeout = 10000ms;
+                slots[i].record(client->forward("sim://server", "slow_echo",
+                                                std::to_string(i), opts));
+            };
+            std::vector<std::thread> threads;
+            for (int i = 0; i < k_threads; ++i) threads.emplace_back(call, i);
+            for (int i = k_threads; i < k_calls; ++i)
+                client->runtime()->post(client->runtime()->primary_pool(),
+                                        [call, i] { call(i); });
+            // Shut down only once every request is at the server, so each
+            // forward is registered before the sweep and none fails fast.
+            const bool all_at_server = all_arrived.wait_for(10s);
+            EXPECT_TRUE(all_at_server) << arrived.load() << " of " << k_calls << " arrived";
+            const auto t0 = std::chrono::steady_clock::now();
+            while (all_at_server && std::chrono::steady_clock::now() - t0 < shutdown_after) {}
+            client->shutdown();
+            for (int i = 0; i < k_calls; ++i) {
+                if (!slots[i].done.wait_for(10s)) {
+                    ADD_FAILURE() << "forward " << i << " hung";
+                    continue;
+                }
+                EXPECT_EQ(slots[i].returns.load(), 1) << "forward " << i;
+                Error::Code c = slots[i].code.load();
+                EXPECT_TRUE(c == Error::Code::Generic || c == Error::Code::Canceled)
+                    << "forward " << i << " returned code " << static_cast<int>(c);
+            }
+            for (auto& t : threads) t.join();
+            // Let every handler finish before the shared state goes away.
+            EXPECT_TRUE(server->deregister_rpc("slow_echo", margo::k_default_provider_id).ok());
+        }
+    }
+}
+
+TEST(Margo, DuplicateAndLateRepliesAreDropped) {
+    // A reply without a pending call (a duplicate, or one that lands after
+    // its caller timed out) is dropped at delivery and never completes a
+    // different call. Both the inline fast path and the timer-delivered
+    // slow path are covered.
+    for (bool delayed_link : {false, true}) {
+        SCOPED_TRACE(delayed_link ? "delayed link" : "fast path");
+        abt::Eventual<void> release;
+        abt::Eventual<void> late_sent;
+        TwoNodes nodes;
+        if (delayed_link) {
+            mercury::LinkModel link;
+            link.latency_us = 50.0;
+            nodes.fabric->set_default_link(link);
+        }
+        auto server = nodes.server;
+        ASSERT_TRUE(server
+                        ->register_rpc("echo", margo::k_default_provider_id,
+                                       [](const margo::Request& req) {
+                                           req.respond(req.payload());
+                                       })
+                        .has_value());
+        ASSERT_TRUE(server
+                        ->register_rpc("twice", margo::k_default_provider_id,
+                                       [](const margo::Request& req) {
+                                           req.respond("first");
+                                           req.respond("second");
+                                       })
+                        .has_value());
+        ASSERT_TRUE(server
+                        ->register_rpc("late", margo::k_default_provider_id,
+                                       [&](const margo::Request& req) {
+                                           (void)release.wait_for(10s);
+                                           req.respond("late");
+                                           late_sent.set();
+                                       })
+                        .has_value());
+        for (int i = 0; i < 50; ++i) {
+            auto r = nodes.client->forward("sim://server", "twice", "");
+            ASSERT_TRUE(r.has_value()) << r.error().message;
+            EXPECT_EQ(*r, "first");
+            std::string payload = "echo-" + std::to_string(i);
+            auto e = nodes.client->forward("sim://server", "echo", payload);
+            ASSERT_TRUE(e.has_value()) << e.error().message;
+            EXPECT_EQ(*e, payload);
+        }
+        margo::ForwardOptions opts;
+        opts.timeout = 50ms;
+        auto r = nodes.client->forward("sim://server", "late", "", opts);
+        ASSERT_FALSE(r.has_value());
+        EXPECT_EQ(r.error().code, Error::Code::Timeout);
+        release.set();
+        ASSERT_TRUE(late_sent.wait_for(5s));
+        for (int i = 0; i < 20; ++i) {
+            std::string payload = "after-" + std::to_string(i);
+            auto e = nodes.client->forward("sim://server", "echo", payload);
+            ASSERT_TRUE(e.has_value()) << e.error().message;
+            EXPECT_EQ(*e, payload);
+        }
+        ASSERT_TRUE(server->deregister_rpc("late", margo::k_default_provider_id).ok());
+    }
 }
 
 TEST(Margo, ForwardAfterShutdownFailsFast) {
