@@ -621,99 +621,86 @@ void respond_status(const margo::Request& req, const Status& st) {
         req.respond_error(st.error());
 }
 
+/// Registers bedrock/* RPCs as typed handlers whose body also receives the
+/// Process. The Process is held weakly: a handler racing its destruction
+/// answers InvalidState instead of touching a dead object.
+struct RpcDefiner {
+    margo::Instance& margo;
+    std::weak_ptr<Process> self;
+
+    template <typename... Args, typename F>
+    void define(const char* name, F fn) const {
+        auto r = margo.register_rpc(
+            name, k_bedrock_provider_id,
+            margo::typed_handler<Args...>(
+                [self = self, fn = std::move(fn)](const margo::Request& req, Args&... args) {
+                    auto proc = self.lock();
+                    if (!proc) {
+                        req.respond_error(Error{Error::Code::InvalidState, "process is gone"});
+                        return;
+                    }
+                    fn(*proc, req, args...);
+                }));
+        assert(r.has_value());
+        (void)r;
+    }
+};
+
 } // namespace
 
 void Process::register_rpcs() {
-    auto self = weak_from_this();
-    auto with_self = [self](auto fn) {
-        return [self, fn](const margo::Request& req) {
-            auto proc = self.lock();
-            if (!proc) {
-                req.respond_error(Error{Error::Code::InvalidState, "process is gone"});
-                return;
-            }
-            fn(*proc, req);
-        };
-    };
+    RpcDefiner rpc{*m_margo, weak_from_this()};
 
-    auto reg = [&](const char* name, margo::Handler h) {
-        auto r = m_margo->register_rpc(name, k_bedrock_provider_id, std::move(h));
-        assert(r.has_value());
-        (void)r;
-    };
-
-    reg("bedrock/get_config", with_self([](Process& p, const margo::Request& req) {
-            req.respond_values(p.config().dump());
-        }));
-    reg("bedrock/get_metrics", with_self([](Process& p, const margo::Request& req) {
-            req.respond_values(p.m_margo->metrics_json().dump());
-        }));
-    reg("bedrock/query", with_self([](Process& p, const margo::Request& req) {
-            std::string script;
-            if (!req.unpack(script)) {
-                req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-                return;
-            }
+    rpc.define("bedrock/get_config", [](Process& p, const margo::Request& req) {
+        req.respond_values(p.config().dump());
+    });
+    rpc.define("bedrock/get_metrics", [](Process& p, const margo::Request& req) {
+        req.respond_values(p.m_margo->metrics_json().dump());
+    });
+    rpc.define<std::string>(
+        "bedrock/query", [](Process& p, const margo::Request& req, const std::string& script) {
             auto result = p.query(script);
             if (!result)
                 req.respond_error(result.error());
             else
                 req.respond_values(result->dump());
-        }));
-    reg("bedrock/load_module", with_self([](Process& p, const margo::Request& req) {
-            std::string type, library;
-            if (!req.unpack(type, library)) {
-                req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-                return;
-            }
+        });
+    rpc.define<std::string, std::string>(
+        "bedrock/load_module", [](Process& p, const margo::Request& req,
+                                  const std::string& type, const std::string& library) {
             respond_status(req, p.load_module(type, library));
-        }));
-    reg("bedrock/start_provider", with_self([](Process& p, const margo::Request& req) {
-            std::string desc_str;
-            if (!req.unpack(desc_str)) {
-                req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-                return;
-            }
+        });
+    rpc.define<std::string>(
+        "bedrock/start_provider",
+        [](Process& p, const margo::Request& req, const std::string& desc_str) {
             auto desc = json::Value::parse(desc_str);
             if (!desc) {
                 req.respond_error(desc.error());
                 return;
             }
             respond_status(req, p.start_provider(*desc));
-        }));
-    reg("bedrock/stop_provider", with_self([](Process& p, const margo::Request& req) {
-            std::string name;
-            if (!req.unpack(name)) {
-                req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-                return;
-            }
+        });
+    rpc.define<std::string>(
+        "bedrock/stop_provider",
+        [](Process& p, const margo::Request& req, const std::string& name) {
             respond_status(req, p.stop_provider(name));
-        }));
-    reg("bedrock/has_provider", with_self([](Process& p, const margo::Request& req) {
-            std::string_view name; // zero-copy: aliases the request payload
-            if (!req.unpack(name)) {
-                req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-                return;
-            }
+        });
+    // Zero-copy: the name aliases the request payload.
+    rpc.define<std::string_view>(
+        "bedrock/has_provider",
+        [](Process& p, const margo::Request& req, std::string_view name) {
             req.respond_values(p.has_provider(name));
-        }));
-    reg("bedrock/has_provider_typed", with_self([](Process& p, const margo::Request& req) {
-            std::string_view type;
-            std::uint32_t id = 0;
-            if (!req.unpack(type, id)) {
-                req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-                return;
-            }
+        });
+    rpc.define<std::string_view, std::uint32_t>(
+        "bedrock/has_provider_typed",
+        [](Process& p, const margo::Request& req, std::string_view type, std::uint32_t id) {
             req.respond_values(p.has_provider(type, static_cast<std::uint16_t>(id)));
-        }));
-    reg("bedrock/register_dependent", with_self([](Process& p, const margo::Request& req) {
-            std::string_view type; // compared only; spec is retained, so owned
-            std::string spec;
-            std::uint32_t id = 0;
-            if (!req.unpack(type, id, spec)) {
-                req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-                return;
-            }
+        });
+    // The type is compared only; the spec is retained, so owned.
+    rpc.define<std::string_view, std::uint32_t, std::string>(
+        "bedrock/register_dependent", [](Process& p, const margo::Request& req,
+                                         std::string_view type, std::uint32_t id,
+                                         const std::string& spec) {
             // Resolve (type,id) -> name.
             std::lock_guard lk{p.m_mutex};
             for (auto& [name, e] : p.m_providers) {
@@ -724,27 +711,20 @@ void Process::register_rpcs() {
                 }
             }
             req.respond_error(Error{Error::Code::NotFound, "no such provider"});
-        }));
-    reg("bedrock/unregister_dependent", with_self([](Process& p, const margo::Request& req) {
-            std::string_view type;
-            std::string spec;
-            std::uint32_t id = 0;
-            if (!req.unpack(type, id, spec)) {
-                req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-                return;
-            }
+        });
+    rpc.define<std::string_view, std::uint32_t, std::string>(
+        "bedrock/unregister_dependent", [](Process& p, const margo::Request& req,
+                                           std::string_view type, std::uint32_t id,
+                                           const std::string& spec) {
             std::lock_guard lk{p.m_mutex};
             for (auto& [name, e] : p.m_providers) {
                 if (e.type == type && e.provider_id == id) e.dependents.erase(spec);
             }
             req.respond_values(true);
-        }));
-    reg("bedrock/add_pool", with_self([](Process& p, const margo::Request& req) {
-            std::string cfg_str;
-            if (!req.unpack(cfg_str)) {
-                req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-                return;
-            }
+        });
+    rpc.define<std::string>(
+        "bedrock/add_pool",
+        [](Process& p, const margo::Request& req, const std::string& cfg_str) {
             auto cfg = json::Value::parse(cfg_str);
             if (!cfg) {
                 req.respond_error(cfg.error());
@@ -752,101 +732,73 @@ void Process::register_rpcs() {
             }
             auto r = p.add_pool(*cfg);
             respond_status(req, r ? Status{} : Status{r.error()});
-        }));
-    reg("bedrock/remove_pool", with_self([](Process& p, const margo::Request& req) {
-            std::string name;
-            if (!req.unpack(name)) {
-                req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-                return;
-            }
+        });
+    rpc.define<std::string>(
+        "bedrock/remove_pool",
+        [](Process& p, const margo::Request& req, const std::string& name) {
             respond_status(req, p.remove_pool(name));
-        }));
-    reg("bedrock/add_xstream", with_self([](Process& p, const margo::Request& req) {
-            std::string cfg_str;
-            if (!req.unpack(cfg_str)) {
-                req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-                return;
-            }
+        });
+    rpc.define<std::string>(
+        "bedrock/add_xstream",
+        [](Process& p, const margo::Request& req, const std::string& cfg_str) {
             auto cfg = json::Value::parse(cfg_str);
             if (!cfg) {
                 req.respond_error(cfg.error());
                 return;
             }
             respond_status(req, p.add_xstream(*cfg));
-        }));
-    reg("bedrock/remove_xstream", with_self([](Process& p, const margo::Request& req) {
-            std::string name;
-            if (!req.unpack(name)) {
-                req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-                return;
-            }
+        });
+    rpc.define<std::string>(
+        "bedrock/remove_xstream",
+        [](Process& p, const margo::Request& req, const std::string& name) {
             respond_status(req, p.remove_xstream(name));
-        }));
-    reg("bedrock/migrate_provider", with_self([](Process& p, const margo::Request& req) {
-            std::string name, dest, options_str;
-            if (!req.unpack(name, dest, options_str)) {
-                req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-                return;
-            }
+        });
+    rpc.define<std::string, std::string, std::string>(
+        "bedrock/migrate_provider",
+        [](Process& p, const margo::Request& req, const std::string& name,
+           const std::string& dest, const std::string& options_str) {
             auto options = json::Value::parse(options_str);
             if (!options) {
                 req.respond_error(options.error());
                 return;
             }
             respond_status(req, p.migrate_provider(name, dest, *options));
-        }));
-    reg("bedrock/checkpoint_provider", with_self([](Process& p, const margo::Request& req) {
-            std::string name, path;
-            if (!req.unpack(name, path)) {
-                req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-                return;
-            }
+        });
+    rpc.define<std::string, std::string>(
+        "bedrock/checkpoint_provider", [](Process& p, const margo::Request& req,
+                                          const std::string& name, const std::string& path) {
             respond_status(req, p.checkpoint_provider(name, path));
-        }));
-    reg("bedrock/restore_provider", with_self([](Process& p, const margo::Request& req) {
-            std::string name, path;
-            if (!req.unpack(name, path)) {
-                req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-                return;
-            }
+        });
+    rpc.define<std::string, std::string>(
+        "bedrock/restore_provider", [](Process& p, const margo::Request& req,
+                                       const std::string& name, const std::string& path) {
             respond_status(req, p.restore_provider(name, path));
-        }));
-    reg("bedrock/prepare", with_self([](Process& p, const margo::Request& req) {
-            std::string txn, ops_str;
-            if (!req.unpack(txn, ops_str)) {
-                req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-                return;
-            }
+        });
+    rpc.define<std::string, std::string>(
+        "bedrock/prepare", [](Process& p, const margo::Request& req, const std::string& txn,
+                              const std::string& ops_str) {
             auto ops = json::Value::parse(ops_str);
             if (!ops) {
                 req.respond_error(ops.error());
                 return;
             }
             respond_status(req, p.prepare(txn, *ops));
-        }));
-    reg("bedrock/commit", with_self([](Process& p, const margo::Request& req) {
-            std::string txn;
-            if (!req.unpack(txn)) {
-                req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-                return;
-            }
+        });
+    rpc.define<std::string>(
+        "bedrock/commit", [](Process& p, const margo::Request& req, const std::string& txn) {
             respond_status(req, p.commit(txn));
-        }));
-    reg("bedrock/abort", with_self([](Process& p, const margo::Request& req) {
-            std::string txn;
-            if (!req.unpack(txn)) {
-                req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-                return;
-            }
+        });
+    rpc.define<std::string>(
+        "bedrock/abort", [](Process& p, const margo::Request& req, const std::string& txn) {
             respond_status(req, p.abort(txn));
-        }));
-    reg("bedrock/shutdown", with_self([](Process& p, const margo::Request& req) {
-            req.respond_values(true);
-            // Finalizing the runtime joins execution streams, which cannot
-            // be done from a handler ULT running on one of them; hand off.
-            auto proc = p.shared_from_this();
-            std::thread([proc] { proc->shutdown(); }).detach();
-        }));
+        });
+    rpc.define("bedrock/shutdown", [](Process& p, const margo::Request& req) {
+        req.respond_values(true);
+        // Finalizing the runtime joins execution streams, which cannot be
+        // done from a handler ULT running on one of them; hand off.
+        auto proc = p.shared_from_this();
+        std::thread([proc] { proc->shutdown(); }).detach();
+    });
 }
 
 } // namespace mochi::bedrock

@@ -48,12 +48,9 @@ DatasetProvider::DatasetProvider(margo::InstancePtr instance, std::uint16_t prov
                                  std::shared_ptr<abt::Pool> pool)
 : margo::Provider(std::move(instance), provider_id, "dataset", std::move(pool)),
   m_meta(std::move(meta)), m_data(std::move(data)), m_script(std::move(script)) {
-    define("create", [this](const margo::Request& req) {
-        std::string name, content;
-        if (!req.unpack(name, content)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
+    define<std::string, std::string>("create", [this](const margo::Request& req,
+                                                      const std::string& name,
+                                                      const std::string& content) {
         if (auto existing = m_meta.exists(meta_key(name)); existing && *existing) {
             req.respond_error(Error{Error::Code::AlreadyExists, "dataset exists: " + name});
             return;
@@ -76,12 +73,7 @@ DatasetProvider::DatasetProvider(margo::InstancePtr instance, std::uint16_t prov
         }
         req.respond_values(true);
     });
-    define("read", [this](const margo::Request& req) {
-        std::string name;
-        if (!req.unpack(name)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
+    define<std::string>("read", [this](const margo::Request& req, const std::string& name) {
         auto meta_str = m_meta.get(meta_key(name));
         if (!meta_str) {
             req.respond_error(meta_str.error());
@@ -101,12 +93,7 @@ DatasetProvider::DatasetProvider(margo::InstancePtr instance, std::uint16_t prov
         }
         req.respond_values(*content);
     });
-    define("list", [this](const margo::Request& req) {
-        std::string prefix;
-        if (!req.unpack(prefix)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
+    define<std::string>("list", [this](const margo::Request& req, const std::string& prefix) {
         auto keys = m_meta.list_keys("", "dataset/" + prefix, 0);
         if (!keys) {
             req.respond_error(keys.error());
@@ -117,12 +104,7 @@ DatasetProvider::DatasetProvider(margo::InstancePtr instance, std::uint16_t prov
         for (auto& k : *keys) names.push_back(k.substr(8)); // strip "dataset/"
         req.respond_values(names);
     });
-    define("destroy", [this](const margo::Request& req) {
-        std::string name;
-        if (!req.unpack(name)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
+    define<std::string>("destroy", [this](const margo::Request& req, const std::string& name) {
         auto meta_str = m_meta.get(meta_key(name));
         if (!meta_str) {
             req.respond_error(meta_str.error());
@@ -137,12 +119,9 @@ DatasetProvider::DatasetProvider(margo::InstancePtr instance, std::uint16_t prov
         }
         req.respond_values(true);
     });
-    define("run_script", [this](const margo::Request& req) {
-        std::string name, code;
-        if (!req.unpack(name, code)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
+    define<std::string, std::string>("run_script", [this](const margo::Request& req,
+                                                          const std::string& name,
+                                                          const std::string& code) {
         if (!m_script) {
             req.respond_error(Error{Error::Code::InvalidState,
                                     "no poesie dependency configured for this provider"});

@@ -504,7 +504,9 @@ Status ElasticKvService::recover_shards_of(const std::string& address) {
 
 ElasticKvClient::ElasticKvClient(margo::InstancePtr instance, std::string controller)
 : m_instance(std::move(instance)), m_controller(std::move(controller)),
-  m_epoch_context(std::make_shared<yokan::EpochContext>()) {}
+  m_epoch_context(std::make_shared<yokan::EpochContext>()),
+  m_refreshes_total(m_instance->metrics()->counter("elastic_layout_refreshes_total")),
+  m_stale_retries_total(m_instance->metrics()->counter("elastic_stale_epoch_retries_total")) {}
 
 bool ElasticKvClient::adopt(std::uint64_t epoch, const std::string& blob) {
     if (epoch <= m_layout.epoch()) return false;
@@ -520,7 +522,7 @@ Status ElasticKvClient::refresh() {
                                                           {});
     if (!r) return r.error();
     ++m_refreshes;
-    m_instance->metrics()->counter("elastic_layout_refreshes_total").inc();
+    m_refreshes_total.inc();
     (void)adopt(std::get<0>(*r), std::get<1>(*r));
     return {};
 }
@@ -530,7 +532,7 @@ Status ElasticKvClient::refresh_from_member(const std::string& member_address,
     auto r = ssg::Group::fetch_payload(m_instance, group_name, member_address);
     if (!r) return r.error();
     ++m_refreshes;
-    m_instance->metrics()->counter("elastic_layout_refreshes_total").inc();
+    m_refreshes_total.inc();
     if (r->first == 0)
         return Error{Error::Code::NotFound, "member holds no layout payload yet"};
     (void)adopt(r->first, r->second);
@@ -547,7 +549,7 @@ bool ElasticKvClient::handle_stale(const Error& err) {
     std::string blob;
     if (!yokan::decode_stale_epoch(err, epoch, blob)) return false;
     ++m_stale_retries;
-    m_instance->metrics()->counter("elastic_stale_epoch_retries_total").inc();
+    m_stale_retries_total.inc();
     // Fast path: the rejection carried the new layout — repair the cache
     // with zero extra RPCs.
     if (!blob.empty() && adopt(epoch, blob)) return true;

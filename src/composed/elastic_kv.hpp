@@ -235,6 +235,9 @@ class ElasticKvClient {
     std::shared_ptr<yokan::EpochContext> m_epoch_context;
     std::size_t m_refreshes = 0;
     std::size_t m_stale_retries = 0;
+    // Process-wide totals, resolved once; the registry owns them.
+    margo::Counter& m_refreshes_total;     ///< elastic_layout_refreshes_total
+    margo::Counter& m_stale_retries_total; ///< elastic_stale_epoch_retries_total
 };
 
 } // namespace mochi::composed

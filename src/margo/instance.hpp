@@ -29,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 
 namespace mochi::margo {
 
@@ -79,6 +80,25 @@ class Request {
 };
 
 using Handler = std::function<void(const Request&)>;
+
+/// Typed handler definition: the RPC's argument types are declared once,
+/// next to its body, the way Mercury registers an RPC with its input proc.
+/// The returned Handler decodes the payload into `Args...` and runs
+/// `fn(req, args...)`; a payload that does not decode is answered with
+/// an InvalidArgument error and never reaches `fn`. std::string_view
+/// arguments alias the request payload (zero-copy, valid while the body
+/// runs). With no `Args` the body runs on the bare request.
+template <typename... Args, typename F>
+[[nodiscard]] Handler typed_handler(F fn) {
+    return [fn = std::move(fn)](const Request& req) {
+        std::tuple<Args...> args{};
+        if (!std::apply([&](Args&... a) { return req.unpack(a...); }, args)) {
+            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
+            return;
+        }
+        std::apply([&](Args&... a) { fn(req, a...); }, args);
+    };
+}
 
 struct ForwardOptions {
     std::chrono::milliseconds timeout{2000};

@@ -115,13 +115,6 @@ json::Value MetricsRegistry::to_json() const {
     return doc;
 }
 
-void MetricsRegistry::reset() {
-    std::lock_guard lk{m_mutex};
-    m_counters.clear();
-    m_gauges.clear();
-    m_histograms.clear();
-}
-
 // ---------------------------------------------------------------------------
 // MetricsMonitor
 // ---------------------------------------------------------------------------

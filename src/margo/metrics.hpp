@@ -90,7 +90,9 @@ class Histogram {
 };
 
 /// Named metrics of one process. Lookups create on first use and return
-/// stable references; the hot path (inc/observe) is lock-free.
+/// references that stay valid for the registry's lifetime (nothing is ever
+/// removed), so components resolve their metrics once at construction and
+/// the hot path (inc/observe) is lock-free.
 class MetricsRegistry {
   public:
     Counter& counter(const std::string& name);
@@ -100,8 +102,6 @@ class MetricsRegistry {
     /// {"counters": {name: n}, "gauges": {name: v},
     ///  "histograms": {name: {"count","sum","avg","le","buckets","p50","p99"}}}
     [[nodiscard]] json::Value to_json() const;
-
-    void reset();
 
   private:
     mutable std::mutex m_mutex;

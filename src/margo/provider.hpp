@@ -45,15 +45,19 @@ class Provider {
     /// before the base destructor below runs, so relying on the base to
     /// deregister leaves a window where a live handler touches dead members.
     void deregister_all() {
-        for (const auto& name : m_rpc_names) m_instance->deregister_rpc(name, m_provider_id);
+        for (const auto& name : m_rpc_names)
+            (void)m_instance->deregister_rpc(name, m_provider_id);
         m_rpc_names.clear();
     }
 
-    /// Register an RPC "<type>/<op>" handled by `handler` on this
-    /// provider's pool.
-    void define(const std::string& op, Handler handler) {
+    /// Register an RPC "<type>/<op>" on this provider's pool whose payload
+    /// decodes into `Args...`: `fn(req, args...)` runs only on well-formed
+    /// input (see typed_handler).
+    template <typename... Args, typename F>
+    void define(const std::string& op, F fn) {
         std::string rpc = m_type + "/" + op;
-        auto r = m_instance->register_rpc(rpc, m_provider_id, std::move(handler), m_pool);
+        auto r = m_instance->register_rpc(rpc, m_provider_id,
+                                          typed_handler<Args...>(std::move(fn)), m_pool);
         assert(r.has_value());
         (void)r;
         m_rpc_names.push_back(std::move(rpc));
@@ -65,12 +69,8 @@ class Provider {
     /// the request payload size) against the sender's token buckets. On a
     /// depleted bucket this responds the retryable Backpressure error for
     /// the caller and returns false — the handler must return without
-    /// touching its backend, mirroring the check_epoch() idiom:
-    ///
-    ///   if (!check_epoch(req, epoch)) return;
-    ///   if (!admit(req)) return;
-    ///
-    /// Untenanted requests (tenant 0) are always admitted.
+    /// touching its backend (yokan's data-op wrapper runs it right after
+    /// its epoch check). Untenanted requests (tenant 0) are always admitted.
     bool admit(const Request& req, std::size_t cost_bytes = 0) const {
         auto st = m_instance->qos().admit(
             req.tenant_id(), cost_bytes > 0 ? cost_bytes : req.payload().size());

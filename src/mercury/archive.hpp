@@ -218,7 +218,7 @@ class InputArchive {
 template <typename... Ts>
 [[nodiscard]] std::string pack(const Ts&... values) {
     OutputArchive ar;
-    (ar & ... & values);
+    (void)(ar & ... & values);
     return ar.take();
 }
 
@@ -227,7 +227,7 @@ template <typename... Ts>
 template <typename... Ts>
 void pack_into(std::string& out, const Ts&... values) {
     OutputArchive ar{out};
-    (ar & ... & values);
+    (void)(ar & ... & values);
 }
 
 /// Deserialize a payload string into a value pack. Returns false on
@@ -237,7 +237,7 @@ void pack_into(std::string& out, const Ts&... values) {
 template <typename... Ts>
 [[nodiscard]] bool unpack(std::string_view payload, Ts&... values) {
     InputArchive ar{payload};
-    (ar & ... & values);
+    (void)(ar & ... & values);
     return !ar.failed();
 }
 

@@ -53,12 +53,8 @@ Status InterpreterHandle::set_variable(const std::string& vm, const std::string&
 Provider::Provider(margo::InstancePtr instance, std::uint16_t provider_id,
                    std::shared_ptr<abt::Pool> pool)
 : margo::Provider(std::move(instance), provider_id, "poesie", std::move(pool)) {
-    define("create_vm", [this](const margo::Request& req) {
-        std::string name;
-        if (!req.unpack(name)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
+    define<std::string>("create_vm", [this](const margo::Request& req,
+                                            const std::string& name) {
         std::lock_guard lk{m_mutex};
         if (m_vms.count(name)) {
             req.respond_error(Error{Error::Code::AlreadyExists, "vm exists: " + name});
@@ -67,12 +63,8 @@ Provider::Provider(margo::InstancePtr instance, std::uint16_t provider_id,
         m_vms[name];
         req.respond_values(true);
     });
-    define("destroy_vm", [this](const margo::Request& req) {
-        std::string name;
-        if (!req.unpack(name)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
+    define<std::string>("destroy_vm", [this](const margo::Request& req,
+                                             const std::string& name) {
         std::lock_guard lk{m_mutex};
         if (m_vms.erase(name) == 0) {
             req.respond_error(Error{Error::Code::NotFound, "no vm named " + name});
@@ -87,12 +79,9 @@ Provider::Provider(margo::InstancePtr instance, std::uint16_t provider_id,
         for (const auto& [n, vm] : m_vms) names.push_back(n);
         req.respond_values(names);
     });
-    define("execute", [this](const margo::Request& req) {
-        std::string vm_name, code;
-        if (!req.unpack(vm_name, code)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
+    define<std::string, std::string>("execute", [this](const margo::Request& req,
+                                                       const std::string& vm_name,
+                                                       const std::string& code) {
         // Copy the environment out, evaluate without holding the lock (the
         // script may run long), then merge back.
         std::map<std::string, json::Value> env;
@@ -120,12 +109,9 @@ Provider::Provider(margo::InstancePtr instance, std::uint16_t provider_id,
         }
         req.respond_values(result->dump());
     });
-    define("get_variable", [this](const margo::Request& req) {
-        std::string vm_name, var;
-        if (!req.unpack(vm_name, var)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
+    define<std::string, std::string>("get_variable", [this](const margo::Request& req,
+                                                            const std::string& vm_name,
+                                                            const std::string& var) {
         std::lock_guard lk{m_mutex};
         auto it = m_vms.find(vm_name);
         if (it == m_vms.end()) {
@@ -139,12 +125,9 @@ Provider::Provider(margo::InstancePtr instance, std::uint16_t provider_id,
         }
         req.respond_values(vit->second.dump());
     });
-    define("set_variable", [this](const margo::Request& req) {
-        std::string vm_name, var, value_str;
-        if (!req.unpack(vm_name, var, value_str)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
+    define<std::string, std::string, std::string>(
+        "set_variable", [this](const margo::Request& req, const std::string& vm_name,
+                               const std::string& var, const std::string& value_str) {
         auto value = json::Value::parse(value_str);
         if (!value) {
             req.respond_error(value.error());

@@ -77,6 +77,10 @@ Provider::Provider(margo::InstancePtr instance, std::uint16_t provider_id,
                    std::shared_ptr<StateMachine> state_machine, RaftConfig config)
 : margo::Provider(std::move(instance), provider_id, "raft"),
   m_peers(std::move(peers)), m_sm(std::move(state_machine)), m_config(config),
+  m_elections(this->instance()->metrics()->counter("raft_elections_total")),
+  m_append_entries_sent(this->instance()->metrics()->counter("raft_append_entries_sent_total")),
+  m_entries_applied(this->instance()->metrics()->counter("raft_entries_applied_total")),
+  m_batches_submitted(this->instance()->metrics()->counter("raft_batches_submitted_total")),
   m_rng(std::hash<std::string>{}(this->instance()->address()) ^ provider_id) {}
 
 std::shared_ptr<Provider> Provider::create(margo::InstancePtr instance,
@@ -292,7 +296,7 @@ void Provider::start_election() {
         become_leader(); // single-node group: win immediately
         return;
     }
-    instance()->metrics()->counter("raft_elections_total").inc();
+    m_elections.inc();
     auto weak = weak_from_this();
     auto rt = instance()->runtime();
     // Vote requests fan out on fresh ULTs; keep them on the ambient trace
@@ -424,7 +428,7 @@ void Provider::replicate_to(const std::string& peer) {
                 if (!again) self->m_replicating[peer] = false;
                 continue;
             }
-            self->instance()->metrics()->counter("raft_append_entries_sent_total").inc();
+            self->m_append_entries_sent.inc();
             auto r = self->instance()->call<std::uint64_t, bool, std::uint64_t>(
                 peer, "raft/append_entries", opts, args);
             std::unique_lock lk{self->m_mutex};
@@ -485,7 +489,7 @@ void Provider::apply_committed() {
         ++m_last_applied;
         const LogEntry& e = m_log[m_last_applied - m_snapshot_index - 1];
         std::string result = m_sm->apply(e.command);
-        instance()->metrics()->counter("raft_entries_applied_total").inc();
+        m_entries_applied.inc();
         auto it = m_waiters.find(m_last_applied);
         if (it != m_waiters.end()) {
             it->second->set_value(Expected<std::string>(std::move(result)));
@@ -561,7 +565,7 @@ Expected<std::vector<std::string>> Provider::submit_multi(
         }
         if (m_peers.size() == 1) advance_commit(); // single-node commit
     }
-    instance()->metrics()->counter("raft_batches_submitted_total").inc();
+    m_batches_submitted.inc();
     broadcast(); // one replication round carries every entry of the batch
     auto budget = std::chrono::duration_cast<std::chrono::microseconds>(
         m_config.rpc_timeout * 20);
@@ -589,12 +593,8 @@ Expected<std::vector<std::string>> Provider::submit_multi(
 // ---------------------------------------------------------------------------
 
 void Provider::define_rpcs() {
-    define("request_vote", [this](const margo::Request& req) {
-        RequestVoteView args;
-        if (!req.unpack(args)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
+    define<RequestVoteView>("request_vote", [this](const margo::Request& req,
+                                                   const RequestVoteView& args) {
         std::lock_guard lk{m_mutex};
         if (args.term > m_term) become_follower(args.term, "");
         bool granted = false;
@@ -614,12 +614,8 @@ void Provider::define_rpcs() {
         req.respond_values(m_term, granted);
     });
 
-    define("append_entries", [this](const margo::Request& req) {
-        AppendEntriesView args;
-        if (!req.unpack(args)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
+    define<AppendEntriesView>("append_entries", [this](const margo::Request& req,
+                                                       AppendEntriesView& args) {
         std::lock_guard lk{m_mutex};
         if (args.term < m_term) {
             req.respond_values(m_term, false, std::uint64_t{0});
@@ -658,12 +654,8 @@ void Provider::define_rpcs() {
         req.respond_values(m_term, true, match);
     });
 
-    define("install_snapshot", [this](const margo::Request& req) {
-        InstallSnapshotView args;
-        if (!req.unpack(args)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
+    define<InstallSnapshotView>("install_snapshot", [this](const margo::Request& req,
+                                                           const InstallSnapshotView& args) {
         std::lock_guard lk{m_mutex};
         if (args.term < m_term) {
             req.respond_values(m_term);
@@ -683,12 +675,8 @@ void Provider::define_rpcs() {
         req.respond_values(m_term);
     });
 
-    define("submit", [this](const margo::Request& req) {
-        std::string command;
-        if (!req.unpack(command)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
+    define<std::string>("submit", [this](const margo::Request& req,
+                                         const std::string& command) {
         auto r = submit(command);
         if (!r)
             req.respond_error(r.error());
@@ -696,12 +684,8 @@ void Provider::define_rpcs() {
             req.respond_values(*r);
     });
 
-    define("submit_multi", [this](const margo::Request& req) {
-        std::vector<std::string> commands;
-        if (!req.unpack(commands)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
+    define<std::vector<std::string>>("submit_multi", [this](const margo::Request& req,
+                                                            const auto& commands) {
         auto r = submit_multi(commands);
         if (!r)
             req.respond_error(r.error());

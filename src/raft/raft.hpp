@@ -120,6 +120,11 @@ class Provider : public margo::Provider, public std::enable_shared_from_this<Pro
     std::vector<std::string> m_peers;
     std::shared_ptr<StateMachine> m_sm;
     RaftConfig m_config;
+    // Resolved once at construction; the registry owns them.
+    margo::Counter& m_elections;           ///< raft_elections_total
+    margo::Counter& m_append_entries_sent; ///< raft_append_entries_sent_total
+    margo::Counter& m_entries_applied;     ///< raft_entries_applied_total
+    margo::Counter& m_batches_submitted;   ///< raft_batches_submitted_total
 
     mutable std::mutex m_mutex;
     Role m_role = Role::Follower;

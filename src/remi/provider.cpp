@@ -36,32 +36,24 @@ Provider::Provider(margo::InstancePtr instance, std::uint16_t provider_id,
   m_store(SimFileStore::for_node(this->instance()->address())) {
     // RDMA path: the source exposes the file contents; we pull them in one
     // bulk transfer and write the file locally.
-    define("fetch_rdma", [this](const margo::Request& req) {
-        std::string path;
-        mercury::BulkHandle handle;
-        if (!req.unpack(path, handle)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
-        std::string buffer(handle.size, '\0');
-        if (auto st = this->instance()->bulk_pull(handle, 0, buffer.data(), buffer.size());
-            !st.ok()) {
-            req.respond_error(st.error());
-            return;
-        }
-        if (auto st = m_store->write(path, std::move(buffer)); !st.ok()) {
-            req.respond_error(st.error());
-            return;
-        }
-        req.respond_values(true);
-    });
+    define<std::string, mercury::BulkHandle>(
+        "fetch_rdma", [this](const margo::Request& req, const std::string& path,
+                             const mercury::BulkHandle& handle) {
+            std::string buffer(handle.size, '\0');
+            if (auto st = this->instance()->bulk_pull(handle, 0, buffer.data(), buffer.size());
+                !st.ok()) {
+                req.respond_error(st.error());
+                return;
+            }
+            if (auto st = m_store->write(path, std::move(buffer)); !st.ok()) {
+                req.respond_error(st.error());
+                return;
+            }
+            req.respond_values(true);
+        });
     // Chunk path: a batch of (possibly partial) small files packed together.
-    define("write_chunk", [this](const margo::Request& req) {
-        std::vector<ChunkEntry> entries;
-        if (!req.unpack(entries)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
+    define<std::vector<ChunkEntry>>("write_chunk", [this](const margo::Request& req,
+                                                          std::vector<ChunkEntry>& entries) {
         for (auto& e : entries) {
             Status st = e.offset == 0 ? m_store->write(e.path, std::move(e.data))
                                       : m_store->append(e.path, e.data);

@@ -48,6 +48,10 @@ std::uint16_t Group::provider_id_for(std::string_view group_name) noexcept {
 Group::Group(margo::InstancePtr instance, std::string group_name, GroupConfig config)
 : m_instance(std::move(instance)), m_name(std::move(group_name)), m_config(config),
   m_provider_id(provider_id_for(m_name)),
+  m_pings(m_instance->metrics()->counter("ssg_pings_total")),
+  m_suspicions(m_instance->metrics()->counter("ssg_suspicions_total")),
+  m_deaths(m_instance->metrics()->counter("ssg_deaths_total")),
+  m_payload_pulls(m_instance->metrics()->counter("ssg_payload_pulls_total")),
   m_rng(std::hash<std::string>{}(m_instance->address() + m_name)) {}
 
 const std::string& Group::self() const noexcept { return m_instance->address(); }
@@ -176,108 +180,63 @@ Expected<GroupView> Group::fetch_view(const margo::InstancePtr& instance,
 // RPC handlers
 // ---------------------------------------------------------------------------
 
+template <typename... Args, typename F>
+void Group::define_rpc(const char* name, F fn) {
+    (void)m_instance->register_rpc(
+        name, m_provider_id,
+        margo::typed_handler<Args...>([weak = weak_from_this(), fn = std::move(fn)](
+                                          const margo::Request& req, Args&... args) {
+            auto g = weak.lock();
+            if (!g || g->m_stopped.load()) {
+                req.respond_error(Error{Error::Code::InvalidState, "group is gone"});
+                return;
+            }
+            fn(*g, req, args...);
+        }));
+}
+
 void Group::register_rpcs() {
-    auto weak = weak_from_this();
-    auto guard = [weak](const margo::Request& req,
-                        auto fn) { // resolve the group or fail the RPC
-        auto g = weak.lock();
-        if (!g || g->m_stopped.load()) {
-            req.respond_error(Error{Error::Code::InvalidState, "group is gone"});
-            return;
-        }
-        fn(*g);
+    // Every request leads with the group name (decoded, not checked: the
+    // provider id already selects the group).
+    //
+    // A ping and a gossip push are answered alike: apply the sender's
+    // updates, reply with our own gossip (a suspected member's refutation,
+    // Alive at incarnation+1, returns on this fast path), plus the sender's
+    // own status if we (wrongly) hold it Dead/Left so it can refute.
+    auto exchange = [](Group& g, const margo::Request& req, std::string_view,
+                       const std::string& sender, const std::vector<Update>& gossip,
+                       std::uint64_t remote_pv) {
+        for (const auto& u : gossip) g.apply_update(u);
+        req.respond(mercury::pack(g.collect_gossip_for(sender), g.payload_version()));
+        g.maybe_pull_payload(sender, remote_pv);
     };
-
-    (void)m_instance->register_rpc(
-        "ssg/ping", m_provider_id, [guard](const margo::Request& req) {
-            guard(req, [&](Group& g) {
-                std::string group, sender;
-                std::vector<Update> gossip;
-                std::uint64_t remote_pv = 0;
-                if (!req.unpack(group, sender, gossip, remote_pv)) {
-                    req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-                    return;
-                }
-                for (const auto& u : gossip) g.apply_update(u);
-                // Ack carries our own gossip back, plus the sender's own
-                // status if we (wrongly) hold it Dead/Left so it can refute.
-                auto mine = g.collect_gossip_for(sender);
-                req.respond(mercury::pack(mine, g.payload_version()));
-                g.maybe_pull_payload(sender, remote_pv);
-            });
+    for (const char* rpc : {"ssg/ping", "ssg/gossip"})
+        define_rpc<std::string_view, std::string, std::vector<Update>, std::uint64_t>(
+            rpc, exchange);
+    define_rpc<std::string_view, std::string_view, std::string>(
+        "ssg/ping_req", [](Group& g, const margo::Request& req, std::string_view,
+                           std::string_view, const std::string& target) {
+            bool ok = g.direct_ping(target);
+            req.respond_values(ok);
         });
-
-    (void)m_instance->register_rpc(
-        "ssg/ping_req", m_provider_id, [guard](const margo::Request& req) {
-            guard(req, [&](Group& g) {
-                std::string group, sender, target;
-                if (!req.unpack(group, sender, target)) {
-                    req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-                    return;
-                }
-                bool ok = g.direct_ping(target);
-                req.respond_values(ok);
-            });
+    define_rpc<std::string_view, std::string>(
+        "ssg/join",
+        [](Group& g, const margo::Request& req, std::string_view, std::string& joiner) {
+            g.apply_update(Update{std::move(joiner),
+                                  static_cast<std::uint8_t>(MemberState::Alive),
+                                  /*incarnation=*/0});
+            auto v = g.view();
+            req.respond_values(v.members, v.version);
         });
-
-    (void)m_instance->register_rpc(
-        "ssg/gossip", m_provider_id, [guard](const margo::Request& req) {
-            guard(req, [&](Group& g) {
-                std::string group, sender;
-                std::vector<Update> gossip;
-                std::uint64_t remote_pv = 0;
-                if (!req.unpack(group, sender, gossip, remote_pv)) {
-                    req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-                    return;
-                }
-                for (const auto& u : gossip) g.apply_update(u);
-                // Reply with our own gossip: a suspected member's refutation
-                // (Alive, incarnation+1) returns on this fast path. Include
-                // the sender's own status if we hold it Dead/Left.
-                req.respond(mercury::pack(g.collect_gossip_for(sender), g.payload_version()));
-                g.maybe_pull_payload(sender, remote_pv);
-            });
+    define_rpc<std::string_view>(
+        "ssg/get_view", [](Group& g, const margo::Request& req, std::string_view) {
+            auto v = g.view();
+            req.respond_values(v.members, v.version);
         });
-
-    (void)m_instance->register_rpc(
-        "ssg/join", m_provider_id, [guard](const margo::Request& req) {
-            guard(req, [&](Group& g) {
-                std::string group, joiner;
-                if (!req.unpack(group, joiner)) {
-                    req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-                    return;
-                }
-                g.apply_update(Update{joiner, static_cast<std::uint8_t>(MemberState::Alive),
-                                      /*incarnation=*/0});
-                auto v = g.view();
-                req.respond_values(v.members, v.version);
-            });
-        });
-
-    (void)m_instance->register_rpc(
-        "ssg/get_view", m_provider_id, [guard](const margo::Request& req) {
-            guard(req, [&](Group& g) {
-                std::string group;
-                if (!req.unpack(group)) {
-                    req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-                    return;
-                }
-                auto v = g.view();
-                req.respond_values(v.members, v.version);
-            });
-        });
-
-    (void)m_instance->register_rpc(
-        "ssg/get_payload", m_provider_id, [guard](const margo::Request& req) {
-            guard(req, [&](Group& g) {
-                std::string group;
-                if (!req.unpack(group)) {
-                    req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-                    return;
-                }
-                auto [version, blob] = g.payload();
-                req.respond_values(version, blob);
-            });
+    define_rpc<std::string_view>(
+        "ssg/get_payload", [](Group& g, const margo::Request& req, std::string_view) {
+            auto [version, blob] = g.payload();
+            req.respond_values(version, blob);
         });
 }
 
@@ -400,7 +359,7 @@ bool Group::direct_ping(const std::string& target) {
     opts.provider_id = m_provider_id;
     opts.timeout =
         std::chrono::duration_cast<std::chrono::milliseconds>(m_config.ping_timeout);
-    m_instance->metrics()->counter("ssg_pings_total").inc();
+    m_pings.inc();
     auto gossip = collect_gossip();
     auto r = m_instance->forward(
         target, "ssg/ping", mercury::pack(m_name, self(), gossip, payload_version()), opts);
@@ -568,12 +527,12 @@ void Group::mark_suspect(const std::string& address) {
         inc = it->second.incarnation;
     }
     log::debug("ssg", "%s suspects %s", self().c_str(), address.c_str());
-    m_instance->metrics()->counter("ssg_suspicions_total").inc();
+    m_suspicions.inc();
     enqueue_gossip(Update{address, static_cast<std::uint8_t>(MemberState::Suspect), inc});
 }
 
 void Group::mark_dead(const std::string& address, std::uint64_t incarnation, bool graceful) {
-    if (!graceful) m_instance->metrics()->counter("ssg_deaths_total").inc();
+    if (!graceful) m_deaths.inc();
     apply_update(Update{address,
                         static_cast<std::uint8_t>(graceful ? MemberState::Left
                                                             : MemberState::Dead),
@@ -645,7 +604,7 @@ void Group::maybe_pull_payload(const std::string& peer, std::uint64_t remote_ver
             g->m_payload_pull_inflight = false;
         }
         if (!r) return;
-        g->m_instance->metrics()->counter("ssg_payload_pulls_total").inc();
+        g->m_payload_pulls.inc();
         g->adopt_payload(std::get<0>(*r), std::move(std::get<1>(*r)));
     });
 }

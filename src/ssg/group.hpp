@@ -149,6 +149,11 @@ class Group : public std::enable_shared_from_this<Group> {
     };
 
     void register_rpcs();
+    /// Register RPC `name` as a typed handler (margo::typed_handler) whose
+    /// body also receives the group; a stopped or destroyed group answers
+    /// InvalidState.
+    template <typename... Args, typename F>
+    void define_rpc(const char* name, F fn);
     void start_protocol_loop();
     void protocol_period();
     /// Apply a received update; returns true if it changed local state.
@@ -180,6 +185,11 @@ class Group : public std::enable_shared_from_this<Group> {
     std::string m_name;
     GroupConfig m_config;
     std::uint16_t m_provider_id;
+    // Resolved once at construction; the registry owns them.
+    margo::Counter& m_pings;         ///< ssg_pings_total
+    margo::Counter& m_suspicions;    ///< ssg_suspicions_total
+    margo::Counter& m_deaths;        ///< ssg_deaths_total
+    margo::Counter& m_payload_pulls; ///< ssg_payload_pulls_total
 
     mutable std::mutex m_mutex;
     std::map<std::string, MemberInfo> m_members; ///< includes self

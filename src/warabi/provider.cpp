@@ -3,6 +3,15 @@
 
 namespace mochi::warabi {
 
+namespace {
+
+/// Overflow-safe range check: [offset, offset + len) lies within `size`.
+bool in_bounds(std::uint64_t offset, std::uint64_t len, std::uint64_t size) noexcept {
+    return offset <= size && len <= size - offset;
+}
+
+} // namespace
+
 // ---------------------------------------------------------------------------
 // TargetHandle
 // ---------------------------------------------------------------------------
@@ -95,17 +104,21 @@ Status TargetHandle::read_bulk(std::uint64_t region, std::uint64_t offset, char*
 Provider::Provider(margo::InstancePtr instance, std::uint16_t provider_id,
                    TargetConfig config, std::shared_ptr<abt::Pool> pool)
 : margo::Provider(std::move(instance), provider_id, "warabi", std::move(pool)),
-  m_config(std::move(config)) {
+  m_config(std::move(config)),
+  m_regions_created(this->instance()->metrics()->counter("warabi_regions_created_total")),
+  m_bytes_written(this->instance()->metrics()->counter("warabi_bytes_written_total")),
+  m_bytes_read(this->instance()->metrics()->counter("warabi_bytes_read_total")) {
     auto store = remi::SimFileStore::for_node(this->instance()->address());
     if (!store->list(root()).empty()) (void)load_from_store(*store);
 
-    define("create", [this](const margo::Request& req) {
-        std::uint64_t size = 0;
-        if (!req.unpack(size)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
+    define<std::uint64_t>("create", [this](const margo::Request& req, std::uint64_t size) {
+        // A size std::string cannot hold would throw on this handler ULT,
+        // where nothing catches it.
+        if (size > std::string{}.max_size()) {
+            req.respond_error(Error{Error::Code::InvalidArgument, "region size too large"});
             return;
         }
-        this->instance()->metrics()->counter("warabi_regions_created_total").inc();
+        m_regions_created.inc();
         std::uint64_t id;
         {
             std::lock_guard lk{m_mutex};
@@ -114,58 +127,46 @@ Provider::Provider(margo::InstancePtr instance, std::uint16_t provider_id,
         }
         req.respond_values(id);
     });
-    define("write", [this](const margo::Request& req) {
-        std::uint64_t region = 0, offset = 0;
-        // Zero-copy: the data bytes are read straight out of the request
-        // payload into the region, never staged in an owned string.
-        std::string_view data;
-        if (!req.unpack(region, offset, data)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
-        if (!admit(req)) return;
-        this->instance()->metrics()->counter("warabi_bytes_written_total").inc(data.size());
-        std::lock_guard lk{m_mutex};
-        auto it = m_regions.find(region);
-        if (it == m_regions.end()) {
-            req.respond_error(Error{Error::Code::NotFound, "no such region"});
-            return;
-        }
-        if (offset + data.size() > it->second.size()) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "write out of bounds"});
-            return;
-        }
-        it->second.replace(offset, data.size(), data);
-        req.respond_values(true);
-    });
-    define("read", [this](const margo::Request& req) {
-        std::uint64_t region = 0, offset = 0, size = 0;
-        if (!req.unpack(region, offset, size)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
-        // Reads bill their byte quota on what leaves the node, not the
-        // few bytes of request header.
-        if (!admit(req, size)) return;
-        std::lock_guard lk{m_mutex};
-        auto it = m_regions.find(region);
-        if (it == m_regions.end()) {
-            req.respond_error(Error{Error::Code::NotFound, "no such region"});
-            return;
-        }
-        if (offset + size > it->second.size()) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "read out of bounds"});
-            return;
-        }
-        this->instance()->metrics()->counter("warabi_bytes_read_total").inc(size);
-        req.respond_values(it->second.substr(offset, size));
-    });
-    define("erase", [this](const margo::Request& req) {
-        std::uint64_t region = 0;
-        if (!req.unpack(region)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
+    // Zero-copy: the data bytes are read straight out of the request payload
+    // into the region, never staged in an owned string.
+    define<std::uint64_t, std::uint64_t, std::string_view>(
+        "write", [this](const margo::Request& req, std::uint64_t region, std::uint64_t offset,
+                        std::string_view data) {
+            if (!admit(req)) return;
+            m_bytes_written.inc(data.size());
+            std::lock_guard lk{m_mutex};
+            auto it = m_regions.find(region);
+            if (it == m_regions.end()) {
+                req.respond_error(Error{Error::Code::NotFound, "no such region"});
+                return;
+            }
+            if (!in_bounds(offset, data.size(), it->second.size())) {
+                req.respond_error(Error{Error::Code::InvalidArgument, "write out of bounds"});
+                return;
+            }
+            it->second.replace(offset, data.size(), data);
+            req.respond_values(true);
+        });
+    define<std::uint64_t, std::uint64_t, std::uint64_t>(
+        "read", [this](const margo::Request& req, std::uint64_t region, std::uint64_t offset,
+                       std::uint64_t size) {
+            // Reads bill their byte quota on what leaves the node, not the
+            // few bytes of request header.
+            if (!admit(req, size)) return;
+            std::lock_guard lk{m_mutex};
+            auto it = m_regions.find(region);
+            if (it == m_regions.end()) {
+                req.respond_error(Error{Error::Code::NotFound, "no such region"});
+                return;
+            }
+            if (!in_bounds(offset, size, it->second.size())) {
+                req.respond_error(Error{Error::Code::InvalidArgument, "read out of bounds"});
+                return;
+            }
+            m_bytes_read.inc(size);
+            req.respond_values(it->second.substr(offset, size));
+        });
+    define<std::uint64_t>("erase", [this](const margo::Request& req, std::uint64_t region) {
         std::lock_guard lk{m_mutex};
         if (m_regions.erase(region) == 0) {
             req.respond_error(Error{Error::Code::NotFound, "no such region"});
@@ -173,12 +174,8 @@ Provider::Provider(margo::InstancePtr instance, std::uint16_t provider_id,
         }
         req.respond_values(true);
     });
-    define("region_size", [this](const margo::Request& req) {
-        std::uint64_t region = 0;
-        if (!req.unpack(region)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
+    define<std::uint64_t>("region_size", [this](const margo::Request& req,
+                                                std::uint64_t region) {
         std::lock_guard lk{m_mutex};
         auto it = m_regions.find(region);
         if (it == m_regions.end()) {
@@ -187,111 +184,95 @@ Provider::Provider(margo::InstancePtr instance, std::uint16_t provider_id,
         }
         req.respond_values(static_cast<std::uint64_t>(it->second.size()));
     });
-    define("write_multi", [this](const margo::Request& req) {
-        std::uint64_t region = 0;
-        // Data segments decode as views into the request payload, so the
-        // batch is never re-copied between the wire and the region.
-        std::vector<std::pair<std::uint64_t, std::string_view>> writes;
-        if (!req.unpack(region, writes)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
-        if (!admit(req)) return;
-        std::vector<std::uint64_t> offsets;
-        std::vector<std::string_view> datas;
-        offsets.reserve(writes.size());
-        datas.reserve(writes.size());
-        for (const auto& [off, data] : writes) {
-            offsets.push_back(off);
-            datas.push_back(data);
-        }
-        handle_write_multi(req, region, offsets, datas);
-    });
-    define("write_multi_bulk", [this](const margo::Request& req) {
-        std::uint64_t region = 0;
-        std::vector<std::uint64_t> offsets;
-        mercury::BulkHandle handle;
-        if (!req.unpack(region, offsets, handle)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
-        if (!admit(req, handle.size)) return;
-        std::string buffer(handle.size, '\0');
-        if (auto st = this->instance()->bulk_pull(handle, 0, buffer.data(), buffer.size());
-            !st.ok()) {
-            req.respond_error(st.error());
-            return;
-        }
-        std::vector<std::string_view> datas;
-        if (!mercury::unpack_segments(buffer, datas) || datas.size() != offsets.size()) {
-            req.respond_error(
-                Error{Error::Code::Corruption, "bad write_multi segment buffer"});
-            return;
-        }
-        handle_write_multi(req, region, offsets, datas);
-    });
-    define("write_bulk", [this](const margo::Request& req) {
-        std::uint64_t region = 0, offset = 0;
-        mercury::BulkHandle handle;
-        if (!req.unpack(region, offset, handle)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
-        if (!admit(req, handle.size)) return;
-        std::string buffer(handle.size, '\0');
-        if (auto st = this->instance()->bulk_pull(handle, 0, buffer.data(), buffer.size());
-            !st.ok()) {
-            req.respond_error(st.error());
-            return;
-        }
-        std::lock_guard lk{m_mutex};
-        auto it = m_regions.find(region);
-        if (it == m_regions.end()) {
-            req.respond_error(Error{Error::Code::NotFound, "no such region"});
-            return;
-        }
-        if (offset + buffer.size() > it->second.size()) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "write out of bounds"});
-            return;
-        }
-        it->second.replace(offset, buffer.size(), buffer);
-        req.respond_values(true);
-    });
-    define("read_bulk", [this](const margo::Request& req) {
-        std::uint64_t region = 0, offset = 0;
-        mercury::BulkHandle handle;
-        if (!req.unpack(region, offset, handle)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
-        if (!admit(req, handle.size)) return;
-        std::string data;
-        {
+    // Data segments decode as views into the request payload, so the batch
+    // is never re-copied between the wire and the region.
+    define<std::uint64_t, std::vector<std::pair<std::uint64_t, std::string_view>>>(
+        "write_multi",
+        [this](const margo::Request& req, std::uint64_t region, const auto& writes) {
+            if (!admit(req)) return;
+            std::vector<std::uint64_t> offsets;
+            std::vector<std::string_view> datas;
+            offsets.reserve(writes.size());
+            datas.reserve(writes.size());
+            for (const auto& [off, data] : writes) {
+                offsets.push_back(off);
+                datas.push_back(data);
+            }
+            handle_write_multi(req, region, offsets, datas);
+        });
+    define<std::uint64_t, std::vector<std::uint64_t>, mercury::BulkHandle>(
+        "write_multi_bulk",
+        [this](const margo::Request& req, std::uint64_t region,
+               const std::vector<std::uint64_t>& offsets, const mercury::BulkHandle& handle) {
+            if (!admit(req, handle.size)) return;
+            std::string buffer(handle.size, '\0');
+            if (auto st = this->instance()->bulk_pull(handle, 0, buffer.data(), buffer.size());
+                !st.ok()) {
+                req.respond_error(st.error());
+                return;
+            }
+            std::vector<std::string_view> datas;
+            if (!mercury::unpack_segments(buffer, datas) || datas.size() != offsets.size()) {
+                req.respond_error(
+                    Error{Error::Code::Corruption, "bad write_multi segment buffer"});
+                return;
+            }
+            handle_write_multi(req, region, offsets, datas);
+        });
+    define<std::uint64_t, std::uint64_t, mercury::BulkHandle>(
+        "write_bulk", [this](const margo::Request& req, std::uint64_t region,
+                             std::uint64_t offset, const mercury::BulkHandle& handle) {
+            if (!admit(req, handle.size)) return;
+            std::string buffer(handle.size, '\0');
+            if (auto st = this->instance()->bulk_pull(handle, 0, buffer.data(), buffer.size());
+                !st.ok()) {
+                req.respond_error(st.error());
+                return;
+            }
             std::lock_guard lk{m_mutex};
             auto it = m_regions.find(region);
             if (it == m_regions.end()) {
                 req.respond_error(Error{Error::Code::NotFound, "no such region"});
                 return;
             }
-            if (offset + handle.size > it->second.size()) {
-                req.respond_error(Error{Error::Code::InvalidArgument, "read out of bounds"});
+            if (!in_bounds(offset, buffer.size(), it->second.size())) {
+                req.respond_error(Error{Error::Code::InvalidArgument, "write out of bounds"});
                 return;
             }
-            data = it->second.substr(offset, handle.size);
-        }
-        if (auto st = this->instance()->bulk_push(handle, 0, data.data(), data.size());
-            !st.ok()) {
-            req.respond_error(st.error());
-            return;
-        }
-        req.respond_values(true);
-    });
+            it->second.replace(offset, buffer.size(), buffer);
+            req.respond_values(true);
+        });
+    define<std::uint64_t, std::uint64_t, mercury::BulkHandle>(
+        "read_bulk", [this](const margo::Request& req, std::uint64_t region,
+                            std::uint64_t offset, const mercury::BulkHandle& handle) {
+            if (!admit(req, handle.size)) return;
+            std::string data;
+            {
+                std::lock_guard lk{m_mutex};
+                auto it = m_regions.find(region);
+                if (it == m_regions.end()) {
+                    req.respond_error(Error{Error::Code::NotFound, "no such region"});
+                    return;
+                }
+                if (!in_bounds(offset, handle.size, it->second.size())) {
+                    req.respond_error(
+                        Error{Error::Code::InvalidArgument, "read out of bounds"});
+                    return;
+                }
+                data = it->second.substr(offset, handle.size);
+            }
+            if (auto st = this->instance()->bulk_push(handle, 0, data.data(), data.size());
+                !st.ok()) {
+                req.respond_error(st.error());
+                return;
+            }
+            req.respond_values(true);
+        });
 }
 
 void Provider::handle_write_multi(const margo::Request& req, std::uint64_t region,
                                   const std::vector<std::uint64_t>& offsets,
                                   const std::vector<std::string_view>& datas) {
-    auto& bytes_written = instance()->metrics()->counter("warabi_bytes_written_total");
     std::lock_guard lk{m_mutex};
     auto it = m_regions.find(region);
     if (it == m_regions.end()) {
@@ -301,7 +282,7 @@ void Provider::handle_write_multi(const margo::Request& req, std::uint64_t regio
     // Validate the whole batch before applying any of it, so a bad op never
     // leaves the region half-written.
     for (std::size_t i = 0; i < datas.size(); ++i) {
-        if (offsets[i] + datas[i].size() > it->second.size()) {
+        if (!in_bounds(offsets[i], datas[i].size(), it->second.size())) {
             req.respond_error(Error{Error::Code::InvalidArgument, "write out of bounds"});
             return;
         }
@@ -312,7 +293,7 @@ void Provider::handle_write_multi(const margo::Request& req, std::uint64_t regio
     for (std::size_t i = 0; i < datas.size(); ++i) {
         double t0 = margo::trace_now_us();
         it->second.replace(offsets[i], datas[i].size(), datas[i].data(), datas[i].size());
-        bytes_written.inc(datas[i].size());
+        m_bytes_written.inc(datas[i].size());
         instance()->notify_batch_op("warabi/write", datas[i].size(),
                                     margo::trace_now_us() - t0, true);
     }

@@ -73,6 +73,10 @@ class Provider : public margo::Provider {
                             const std::vector<std::string_view>& datas);
 
     TargetConfig m_config;
+    // Resolved once at construction; the registry owns them.
+    margo::Counter& m_regions_created; ///< warabi_regions_created_total
+    margo::Counter& m_bytes_written;   ///< warabi_bytes_written_total
+    margo::Counter& m_bytes_read;      ///< warabi_bytes_read_total
     mutable std::mutex m_mutex;
     std::map<std::uint64_t, std::string> m_regions;
     std::uint64_t m_next_region = 1;

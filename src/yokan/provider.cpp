@@ -291,6 +291,11 @@ namespace {
 std::mutex g_provider_registry_mutex;
 std::multimap<const margo::Instance*, Provider*> g_provider_registry;
 
+/// Per-provider counter name: "yokan_provider_<id><suffix>".
+std::string shard_counter_name(std::uint16_t provider_id, const char* suffix) {
+    return "yokan_provider_" + std::to_string(provider_id) + suffix;
+}
+
 /// [begin, end) membership on the ring; end == 0 encodes 2^64.
 bool hash_in_range(std::uint64_t h, std::uint64_t begin, std::uint64_t end) noexcept {
     return h >= begin && (end == 0 || h < end);
@@ -308,10 +313,13 @@ void apply_epoch_update(const margo::InstancePtr& instance, std::uint64_t epoch,
 Provider::Provider(margo::InstancePtr instance, std::uint16_t provider_id,
                    ProviderConfig config, std::shared_ptr<abt::Pool> pool)
 : margo::Provider(std::move(instance), provider_id, "yokan", std::move(pool)),
-  m_config(std::move(config)) {
-    const std::string prefix = "yokan_provider_" + std::to_string(provider_id);
-    m_ops = &this->instance()->metrics()->counter(prefix + "_ops_total");
-    m_stale = &this->instance()->metrics()->counter(prefix + "_stale_rejections_total");
+  m_config(std::move(config)),
+  m_puts(this->instance()->metrics()->counter("yokan_puts_total")),
+  m_gets(this->instance()->metrics()->counter("yokan_gets_total")),
+  m_stale_total(this->instance()->metrics()->counter("yokan_stale_epoch_rejections_total")),
+  m_ops(this->instance()->metrics()->counter(shard_counter_name(provider_id, "_ops_total"))),
+  m_stale(this->instance()->metrics()->counter(
+      shard_counter_name(provider_id, "_stale_rejections_total"))) {
     if (m_config.targets.empty()) {
         auto backend = Backend::create(m_config.backend);
         assert(backend.has_value());
@@ -366,10 +374,32 @@ bool Provider::check_epoch(const margo::Request& req, std::uint64_t req_epoch) c
         if (m_layout_blob.size() <= k_epoch_piggyback_limit) blob = m_layout_blob;
         cur = m_epoch.load(std::memory_order_relaxed);
     }
-    instance()->metrics()->counter("yokan_stale_epoch_rejections_total").inc();
-    m_stale->inc();
+    m_stale_total.inc();
+    m_stale.inc();
     req.respond_error(make_stale_epoch_error(cur, blob));
     return false;
+}
+
+template <typename... Args, typename F>
+void Provider::define_data_op(const std::string& op, F fn) {
+    define<std::uint64_t, Args...>(
+        op, [this, fn = std::move(fn)](const margo::Request& req, std::uint64_t epoch,
+                                       Args&... args) {
+            if (!check_epoch(req, epoch)) return;
+            if (!admit(req)) return;
+            fn(req, args...);
+        });
+}
+
+template <typename Op>
+void Provider::respond_from_replicas(const margo::Request& req, Op op) const {
+    for (const auto& replica : m_replicas) {
+        if (auto r = op(replica)) {
+            req.respond_values(epoch(), *r);
+            return;
+        }
+    }
+    req.respond_error(Error{Error::Code::Unreachable, "no replica reachable"});
 }
 
 void Provider::define_rpcs() {
@@ -378,334 +408,204 @@ void Provider::define_rpcs() {
     // the common lookup path never copies the key. Every data RPC leads with
     // the sender's epoch and every reply with the provider's (the elastic
     // service's piggybacked invalidation).
-    define("put", [this](const margo::Request& req) {
-        std::uint64_t epoch = 0;
-        std::string_view key;
-        std::string value;
-        if (!req.unpack(epoch, key, value)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
-        if (!check_epoch(req, epoch)) return;
-        if (!admit(req)) return;
-        instance()->metrics()->counter("yokan_puts_total").inc();
-        m_ops->inc();
-        Status st = m_backend ? m_backend->put(key, std::move(value))
-                              : virtual_put(key, value);
-        if (!st.ok())
-            req.respond_error(st.error());
-        else
-            req.respond_values(this->epoch(), true);
-    });
-    define("get", [this](const margo::Request& req) {
-        std::uint64_t epoch = 0;
-        std::string_view key;
-        if (!req.unpack(epoch, key)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
-        if (!check_epoch(req, epoch)) return;
-        if (!admit(req)) return;
-        instance()->metrics()->counter("yokan_gets_total").inc();
-        m_ops->inc();
-        auto r = m_backend ? m_backend->get(key) : virtual_get(key);
-        if (!r)
-            req.respond_error(r.error());
-        else
-            req.respond_values(this->epoch(), *r);
-    });
-    define("exists", [this](const margo::Request& req) {
-        std::uint64_t epoch = 0;
-        std::string_view key;
-        if (!req.unpack(epoch, key)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
-        if (!check_epoch(req, epoch)) return;
-        if (!admit(req)) return;
-        if (m_backend) {
-            req.respond_values(this->epoch(), m_backend->exists(key));
-            return;
-        }
-        auto r = virtual_get(key);
-        req.respond_values(this->epoch(), r.has_value());
-    });
-    define("erase", [this](const margo::Request& req) {
-        std::uint64_t epoch = 0;
-        std::string_view key;
-        if (!req.unpack(epoch, key)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
-        if (!check_epoch(req, epoch)) return;
-        if (!admit(req)) return;
-        Status st;
-        if (m_backend) {
-            st = m_backend->erase(key);
-        } else {
-            std::string owned{key};
-            for (const auto& replica : m_replicas) {
-                auto rs = replica.erase(owned);
-                if (!rs.ok()) st = rs; // report last failure; best effort
-            }
-        }
-        if (!st.ok())
-            req.respond_error(st.error());
-        else
-            req.respond_values(this->epoch(), true);
-    });
-    define("count", [this](const margo::Request& req) {
-        std::uint64_t epoch = 0;
-        if (!req.unpack(epoch)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
-        if (!check_epoch(req, epoch)) return;
-        if (!admit(req)) return;
-        if (m_backend) {
-            req.respond_values(this->epoch(),
-                               static_cast<std::uint64_t>(m_backend->count()));
-            return;
-        }
-        for (const auto& replica : m_replicas) {
-            auto r = replica.count();
-            if (r) {
-                req.respond_values(this->epoch(), *r);
+    define_data_op<std::string_view, std::string>(
+        "put", [this](const margo::Request& req, std::string_view key, std::string& value) {
+            m_puts.inc();
+            m_ops.inc();
+            Status st = m_backend ? m_backend->put(key, std::move(value))
+                                  : virtual_put(key, value);
+            if (!st.ok())
+                req.respond_error(st.error());
+            else
+                req.respond_values(epoch(), true);
+        });
+    define_data_op<std::string_view>(
+        "get", [this](const margo::Request& req, std::string_view key) {
+            m_gets.inc();
+            m_ops.inc();
+            auto r = m_backend ? m_backend->get(key) : virtual_get(key);
+            if (!r)
+                req.respond_error(r.error());
+            else
+                req.respond_values(epoch(), *r);
+        });
+    define_data_op<std::string_view>(
+        "exists", [this](const margo::Request& req, std::string_view key) {
+            if (m_backend) {
+                req.respond_values(epoch(), m_backend->exists(key));
                 return;
             }
-        }
-        req.respond_error(Error{Error::Code::Unreachable, "no replica reachable"});
-    });
-    define("put_multi", [this](const margo::Request& req) {
-        // Keys decode as views into the inline payload; values are owned
-        // (they are moved into the backend).
-        std::uint64_t epoch = 0;
-        std::vector<std::pair<std::string_view, std::string>> pairs;
-        if (!req.unpack(epoch, pairs)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
-        if (!check_epoch(req, epoch)) return;
-        if (!admit(req)) return;
-        handle_put_multi(req, std::move(pairs));
-    });
-    define("put_multi_bulk", [this](const margo::Request& req) {
-        // Large batches: the request carries only a bulk handle; one RDMA
-        // pull fetches the packed pairs, then execution is identical to the
-        // inline path.
-        std::uint64_t epoch = 0;
-        mercury::BulkHandle handle;
-        if (!req.unpack(epoch, handle)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
-        if (!check_epoch(req, epoch)) return;
-        // Byte quota is charged on the bulk transfer size, not the tiny
-        // inline payload that merely carries the handle.
-        if (!admit(req, handle.size)) return;
-        std::string buffer(handle.size, '\0');
-        if (auto st = instance()->bulk_pull(handle, 0, buffer.data(), buffer.size());
-            !st.ok()) {
-            req.respond_error(st.error());
-            return;
-        }
-        // Key views alias `buffer`, which outlives the (synchronous)
-        // handle_put_multi call below.
-        std::vector<std::pair<std::string_view, std::string>> pairs;
-        if (!mercury::unpack(buffer, pairs)) {
-            req.respond_error(Error{Error::Code::Corruption, "corrupt bulk batch"});
-            return;
-        }
-        handle_put_multi(req, std::move(pairs));
-    });
-    define("get_multi", [this](const margo::Request& req) {
-        std::uint64_t epoch = 0;
-        std::vector<std::string_view> keys;
-        if (!req.unpack(epoch, keys)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
-        if (!check_epoch(req, epoch)) return;
-        if (!admit(req)) return;
-        std::vector<std::optional<std::string>> values(keys.size());
+            auto r = virtual_get(key);
+            req.respond_values(epoch(), r.has_value());
+        });
+    define_data_op<std::string_view>(
+        "erase", [this](const margo::Request& req, std::string_view key) {
+            Status st;
+            if (m_backend) {
+                st = m_backend->erase(key);
+            } else {
+                std::string owned{key};
+                for (const auto& replica : m_replicas) {
+                    auto rs = replica.erase(owned);
+                    if (!rs.ok()) st = rs; // report last failure; best effort
+                }
+            }
+            if (!st.ok())
+                req.respond_error(st.error());
+            else
+                req.respond_values(epoch(), true);
+        });
+    define_data_op<>("count", [this](const margo::Request& req) {
         if (m_backend) {
-            // Vectored execution: slices of the batch run on handler-pool
-            // ULTs (the backend is internally synchronized), each op
-            // reporting its own span/metric before the single reply.
+            req.respond_values(epoch(), static_cast<std::uint64_t>(m_backend->count()));
+            return;
+        }
+        respond_from_replicas(req, [](const Database& replica) { return replica.count(); });
+    });
+    // Keys decode as views into the inline payload; values are owned (they
+    // are moved into the backend).
+    define_data_op<std::vector<std::pair<std::string_view, std::string>>>(
+        "put_multi", [this](const margo::Request& req, auto& pairs) {
+            handle_put_multi(req, std::move(pairs));
+        });
+    define<std::uint64_t, mercury::BulkHandle>(
+        "put_multi_bulk",
+        [this](const margo::Request& req, std::uint64_t epoch,
+               const mercury::BulkHandle& handle) {
+            // Large batches: the request carries only a bulk handle; one RDMA
+            // pull fetches the packed pairs, then execution is identical to
+            // the inline path.
+            if (!check_epoch(req, epoch)) return;
+            // Byte quota is charged on the bulk transfer size, not the tiny
+            // inline payload that merely carries the handle.
+            if (!admit(req, handle.size)) return;
+            std::string buffer(handle.size, '\0');
+            if (auto st = instance()->bulk_pull(handle, 0, buffer.data(), buffer.size());
+                !st.ok()) {
+                req.respond_error(st.error());
+                return;
+            }
+            // Key views alias `buffer`, which outlives the (synchronous)
+            // handle_put_multi call below.
+            std::vector<std::pair<std::string_view, std::string>> pairs;
+            if (!mercury::unpack(buffer, pairs)) {
+                req.respond_error(Error{Error::Code::Corruption, "corrupt bulk batch"});
+                return;
+            }
+            handle_put_multi(req, std::move(pairs));
+        });
+    define_data_op<std::vector<std::string_view>>(
+        "get_multi", [this](const margo::Request& req, const auto& keys) {
+            if (!m_backend) {
+                // Virtual database: hand the whole batch to the first replica
+                // that answers instead of paying one RPC per key.
+                std::vector<std::string> owned(keys.begin(), keys.end());
+                respond_from_replicas(
+                    req, [&](const Database& replica) { return replica.get_multi(owned); });
+                return;
+            }
+            // Vectored execution: slices of the batch run on handler-pool ULTs
+            // (the backend is internally synchronized), each op reporting its
+            // own span/metric before the single reply.
+            std::vector<std::optional<std::string>> values(keys.size());
             parallel_for(keys.size(), [&](std::size_t i) {
                 double t0 = margo::trace_now_us();
                 auto r = m_backend->get(keys[i]);
-                instance()->metrics()->counter("yokan_gets_total").inc();
-                m_ops->inc();
+                m_gets.inc();
+                m_ops.inc();
                 instance()->notify_batch_op("yokan/get", keys[i].size(),
                                             margo::trace_now_us() - t0, r.has_value());
                 if (r) values[i].emplace(std::move(*r));
             });
-        } else {
-            // Virtual database: hand the whole batch to the first replica
-            // that answers instead of paying one RPC per key.
-            bool served = false;
-            std::vector<std::string> owned(keys.begin(), keys.end());
-            for (const auto& replica : m_replicas) {
-                auto r = replica.get_multi(owned);
-                if (r) {
-                    values = std::move(*r);
-                    served = true;
-                    break;
-                }
-            }
-            if (!served) {
-                req.respond_error(Error{Error::Code::Unreachable, "no replica reachable"});
-                return;
-            }
-        }
-        req.respond_values(this->epoch(), values);
-    });
-    define("list_keys", [this](const margo::Request& req) {
-        std::uint64_t epoch = 0;
-        std::string_view from, prefix;
-        std::uint64_t max = 0;
-        if (!req.unpack(epoch, from, prefix, max)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
-        if (!check_epoch(req, epoch)) return;
-        if (!admit(req)) return;
-        if (m_backend) {
-            req.respond_values(this->epoch(), m_backend->list_keys(from, prefix, max));
-            return;
-        }
-        for (const auto& replica : m_replicas) {
-            auto r = replica.list_keys(std::string(from), std::string(prefix), max);
-            if (r) {
-                req.respond_values(this->epoch(), *r);
-                return;
-            }
-        }
-        req.respond_error(Error{Error::Code::Unreachable, "no replica reachable"});
-    });
-    define("erase_multi", [this](const margo::Request& req) {
-        std::uint64_t epoch = 0;
-        std::vector<std::string_view> keys;
-        if (!req.unpack(epoch, keys)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
-        if (!check_epoch(req, epoch)) return;
-        if (!admit(req)) return;
-        std::uint64_t erased = 0;
-        for (const auto& k : keys) {
-            Status st;
+            req.respond_values(epoch(), values);
+        });
+    define_data_op<std::string_view, std::string_view, std::uint64_t>(
+        "list_keys", [this](const margo::Request& req, std::string_view from,
+                            std::string_view prefix, std::uint64_t max) {
             if (m_backend) {
-                st = m_backend->erase(k);
-            } else {
-                std::string owned{k};
-                for (const auto& replica : m_replicas) {
-                    auto rs = replica.erase(owned);
-                    if (!rs.ok()) st = rs;
+                req.respond_values(epoch(), m_backend->list_keys(from, prefix, max));
+                return;
+            }
+            respond_from_replicas(req, [&](const Database& replica) {
+                return replica.list_keys(std::string(from), std::string(prefix), max);
+            });
+        });
+    define_data_op<std::vector<std::string_view>>(
+        "erase_multi", [this](const margo::Request& req, const auto& keys) {
+            std::uint64_t erased = 0;
+            for (const auto& k : keys) {
+                Status st;
+                if (m_backend) {
+                    st = m_backend->erase(k);
+                } else {
+                    std::string owned{k};
+                    for (const auto& replica : m_replicas) {
+                        auto rs = replica.erase(owned);
+                        if (!rs.ok()) st = rs;
+                    }
                 }
+                if (st.ok()) ++erased;
             }
-            if (st.ok()) ++erased;
-        }
-        req.respond_values(this->epoch(), erased);
-    });
-    define("list_keyvals", [this](const margo::Request& req) {
-        std::uint64_t epoch = 0;
-        std::string_view from, prefix;
-        std::uint64_t max = 0;
-        if (!req.unpack(epoch, from, prefix, max)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
-        if (!check_epoch(req, epoch)) return;
-        if (!admit(req)) return;
-        if (m_backend) {
-            std::vector<std::pair<std::string, std::string>> out;
-            for (auto& key : m_backend->list_keys(from, prefix, max)) {
-                auto v = m_backend->get(key);
-                if (v) out.emplace_back(std::move(key), std::move(*v));
-            }
-            req.respond_values(this->epoch(), out);
-            return;
-        }
-        for (const auto& replica : m_replicas) {
-            auto r = replica.list_keyvals(std::string(from), std::string(prefix), max);
-            if (r) {
-                req.respond_values(this->epoch(), *r);
+            req.respond_values(epoch(), erased);
+        });
+    define_data_op<std::string_view, std::string_view, std::uint64_t>(
+        "list_keyvals", [this](const margo::Request& req, std::string_view from,
+                               std::string_view prefix, std::uint64_t max) {
+            if (m_backend) {
+                std::vector<std::pair<std::string, std::string>> out;
+                for (auto& key : m_backend->list_keys(from, prefix, max)) {
+                    auto v = m_backend->get(key);
+                    if (v) out.emplace_back(std::move(key), std::move(*v));
+                }
+                req.respond_values(epoch(), out);
                 return;
             }
-        }
-        req.respond_error(Error{Error::Code::Unreachable, "no replica reachable"});
-    });
-    define("size_bytes", [this](const margo::Request& req) {
-        std::uint64_t epoch = 0;
-        if (!req.unpack(epoch)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
-        if (!check_epoch(req, epoch)) return;
-        if (!admit(req)) return;
+            respond_from_replicas(req, [&](const Database& replica) {
+                return replica.list_keyvals(std::string(from), std::string(prefix), max);
+            });
+        });
+    define_data_op<>("size_bytes", [this](const margo::Request& req) {
         if (m_backend) {
-            req.respond_values(this->epoch(),
-                               static_cast<std::uint64_t>(m_backend->size_bytes()));
+            req.respond_values(epoch(), static_cast<std::uint64_t>(m_backend->size_bytes()));
             return;
         }
-        for (const auto& replica : m_replicas) {
-            auto r = replica.size_bytes();
-            if (r) {
-                req.respond_values(this->epoch(), *r);
-                return;
-            }
-        }
-        req.respond_error(Error{Error::Code::Unreachable, "no replica reachable"});
+        respond_from_replicas(req,
+                              [](const Database& replica) { return replica.size_bytes(); });
     });
     // -- control plane (no epoch guard: the controller is the authority) ------
-    define("update_epoch", [this](const margo::Request& req) {
-        std::uint64_t epoch = 0;
-        std::string blob;
-        if (!req.unpack(epoch, blob)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
-        set_epoch(epoch, std::move(blob));
-        req.respond_values(true);
-    });
-    define("extract_range", [this](const margo::Request& req) {
-        std::uint64_t begin = 0, end = 0;
-        std::string dest_root, file_prefix, dest_address, method;
-        std::uint32_t remi_id = k_default_remi_provider_id;
-        if (!req.unpack(begin, end, dest_root, file_prefix, dest_address, method, remi_id)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
-        auto options = json::Value::object();
-        options["method"] = method;
-        options["remi_provider_id"] = static_cast<std::int64_t>(remi_id);
-        auto r = extract_range(begin, end, dest_root, file_prefix, dest_address, options);
-        if (!r)
-            req.respond_error(r.error());
-        else
-            req.respond_values(*r);
-    });
-    define("erase_range", [this](const margo::Request& req) {
-        std::uint64_t begin = 0, end = 0;
-        if (!req.unpack(begin, end)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
-        auto r = erase_range(begin, end);
-        if (!r)
-            req.respond_error(r.error());
-        else
-            req.respond_values(*r);
-    });
-    define("absorb", [this](const margo::Request& req) {
-        std::string file_prefix;
-        if (!req.unpack(file_prefix)) {
-            req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
-            return;
-        }
-        auto r = absorb(file_prefix);
+    define<std::uint64_t, std::string>(
+        "update_epoch",
+        [this](const margo::Request& req, std::uint64_t epoch, std::string& blob) {
+            set_epoch(epoch, std::move(blob));
+            req.respond_values(true);
+        });
+    define<std::uint64_t, std::uint64_t, std::string, std::string, std::string, std::string,
+           std::uint32_t>(
+        "extract_range",
+        [this](const margo::Request& req, std::uint64_t begin, std::uint64_t end,
+               const std::string& dest_root, const std::string& file_prefix,
+               const std::string& dest_address, const std::string& method,
+               std::uint32_t remi_id) {
+            auto options = json::Value::object();
+            options["method"] = method;
+            options["remi_provider_id"] = static_cast<std::int64_t>(remi_id);
+            auto r = extract_range(begin, end, dest_root, file_prefix, dest_address, options);
+            if (!r)
+                req.respond_error(r.error());
+            else
+                req.respond_values(*r);
+        });
+    define<std::uint64_t, std::uint64_t>(
+        "erase_range",
+        [this](const margo::Request& req, std::uint64_t begin, std::uint64_t end) {
+            auto r = erase_range(begin, end);
+            if (!r)
+                req.respond_error(r.error());
+            else
+                req.respond_values(*r);
+        });
+    define<std::string>("absorb", [this](const margo::Request& req, const std::string& prefix) {
+        auto r = absorb(prefix);
         if (!r)
             req.respond_error(r.error());
         else
@@ -728,12 +628,8 @@ void Provider::handle_put_multi(const margo::Request& req,
                 return;
             }
         }
-        for (const auto& [k, v] : pairs) {
-            (void)k;
-            (void)v;
-            instance()->metrics()->counter("yokan_puts_total").inc();
-            m_ops->inc();
-        }
+        m_puts.inc(pairs.size());
+        m_ops.inc(pairs.size());
         req.respond_values(this->epoch(), true);
         return;
     }
@@ -745,8 +641,8 @@ void Provider::handle_put_multi(const margo::Request& req,
         double t0 = margo::trace_now_us();
         std::size_t bytes = k.size() + v.size();
         Status st = m_backend->put(k, std::move(v));
-        instance()->metrics()->counter("yokan_puts_total").inc();
-        m_ops->inc();
+        m_puts.inc();
+        m_ops.inc();
         instance()->notify_batch_op("yokan/put", bytes, margo::trace_now_us() - t0, st.ok());
         results[i] = std::move(st);
     });

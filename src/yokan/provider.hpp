@@ -277,6 +277,12 @@ class Provider : public margo::Provider {
 
   private:
     void define_rpcs();
+    /// Define an epoch-guarded data RPC whose payload is (epoch, Args...):
+    /// the body runs only after check_epoch() and then admit(), which
+    /// charges the request payload size. Ops whose cost is not the payload
+    /// (put_multi_bulk) define their guard by hand.
+    template <typename... Args, typename F>
+    void define_data_op(const std::string& op, F fn);
     /// Epoch guard shared by every data RPC: true when the request may
     /// proceed; otherwise the stale-epoch rejection was already sent.
     bool check_epoch(const margo::Request& req, std::uint64_t req_epoch) const;
@@ -287,6 +293,10 @@ class Provider : public margo::Provider {
     /// outlive this call.
     void handle_put_multi(const margo::Request& req,
                           std::vector<std::pair<std::string_view, std::string>>&& pairs);
+    /// Virtual mode: reply (epoch, result) from the first replica whose
+    /// `op(replica)` succeeds, or Unreachable when none does.
+    template <typename Op>
+    void respond_from_replicas(const margo::Request& req, Op op) const;
     Status virtual_put(std::string_view key, const std::string& value);
     Expected<std::string> virtual_get(std::string_view key) const;
 
@@ -294,12 +304,16 @@ class Provider : public margo::Provider {
     std::unique_ptr<Backend> m_backend; ///< null in virtual mode
     std::vector<Database> m_replicas;   ///< virtual mode targets
 
-    /// Per-provider counters (`yokan_provider_<id>_*`) next to the
+    /// Counters, resolved once at construction (the registry owns them).
+    /// The per-provider ones (`yokan_provider_<id>_*`) sit next to the
     /// process-global ones: in an elastic layout each shard is one provider,
     /// so these are what lets a metrics scraper attribute load to individual
-    /// shards. Resolved once; the registry owns them.
-    margo::Counter* m_ops = nullptr;
-    margo::Counter* m_stale = nullptr;
+    /// shards.
+    margo::Counter& m_puts;        ///< yokan_puts_total
+    margo::Counter& m_gets;        ///< yokan_gets_total
+    margo::Counter& m_stale_total; ///< yokan_stale_epoch_rejections_total
+    margo::Counter& m_ops;
+    margo::Counter& m_stale;
 
     std::atomic<std::uint64_t> m_epoch{0};
     mutable std::mutex m_epoch_mutex; ///< guards m_layout_blob

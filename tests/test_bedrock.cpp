@@ -4,6 +4,7 @@
 // provider migration / checkpoint / restore hooks (§6, §7).
 #include "bedrock/client.hpp"
 #include "bedrock/process.hpp"
+#include "malformed_payload.hpp"
 
 #include <gtest/gtest.h>
 
@@ -595,4 +596,45 @@ TEST(Bedrock, MetricsScrapeIsConsistentUnderPoolChurn) {
     EXPECT_GE(churn_cycles.load(), 10);
     // The traffic actually reached the handler histograms.
     EXPECT_GT(last_handler_count, 0);
+}
+
+TEST(Bedrock, MalformedPayloadsLeaveTheProcessUntouched) {
+    Deployment d;
+    auto proc = d.spawn("sim://n1", parse(k_listing3_config));
+    ASSERT_TRUE(proc);
+    auto handle = d.client().makeServiceHandle("sim://n1");
+    const std::string before = proc->config().dump();
+    const std::string name = "myCounter", pool = R"({"name":"p2","type":"fifo_wait"})";
+    const std::string xstream = R"({"name":"x2","scheduler":{"pools":["p2"]}})";
+    const std::string desc = R"({"name":"c2","type":"counter","provider_id":2})";
+    test::expect_bad_payload_rejected(
+        *d.client_margo, "sim://n1", bedrock::k_bedrock_provider_id,
+        {{"bedrock/query", mercury::pack(std::string("return 1;"))},
+         {"bedrock/load_module", mercury::pack(std::string("t"), std::string("libt.so"))},
+         {"bedrock/start_provider", mercury::pack(desc)},
+         {"bedrock/stop_provider", mercury::pack(name)},
+         {"bedrock/has_provider", mercury::pack(name)},
+         {"bedrock/has_provider_typed",
+          mercury::pack(std::string("counter"), std::uint32_t{1})},
+         {"bedrock/register_dependent",
+          mercury::pack(std::string("counter"), std::uint32_t{1}, std::string("x:1@sim://y"))},
+         {"bedrock/unregister_dependent",
+          mercury::pack(std::string("counter"), std::uint32_t{1}, std::string("x:1@sim://y"))},
+         {"bedrock/add_pool", mercury::pack(pool)},
+         {"bedrock/remove_pool", mercury::pack(std::string("__primary__"))},
+         {"bedrock/add_xstream", mercury::pack(xstream)},
+         {"bedrock/remove_xstream", mercury::pack(std::string("__primary__"))},
+         {"bedrock/migrate_provider",
+          mercury::pack(name, std::string("sim://n2"), std::string("{}"))},
+         {"bedrock/checkpoint_provider", mercury::pack(name, std::string("/ckpt"))},
+         {"bedrock/restore_provider", mercury::pack(name, std::string("/ckpt"))},
+         {"bedrock/prepare", mercury::pack(std::string("txn"), std::string("[]"))},
+         {"bedrock/commit", mercury::pack(std::string("txn"))},
+         {"bedrock/abort", mercury::pack(std::string("txn"))}});
+    EXPECT_EQ(proc->config().dump(), before);
+    EXPECT_TRUE(proc->has_provider("myCounter"));
+    // The process still serves well-formed requests.
+    auto cfg = handle.getConfig();
+    ASSERT_TRUE(cfg.has_value()) << cfg.error().message;
+    EXPECT_EQ((*cfg)["providers"].size(), 1u);
 }

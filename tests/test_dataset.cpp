@@ -5,6 +5,7 @@
 #include "bedrock/client.hpp"
 #include "bedrock/process.hpp"
 #include "composed/dataset.hpp"
+#include "malformed_payload.hpp"
 
 #include <gtest/gtest.h>
 
@@ -178,4 +179,23 @@ TEST(Dataset, BedrockComposedAcrossProcesses) {
     (*front)->shutdown();
     data_proc->shutdown();
     meta_proc->shutdown();
+}
+
+TEST(Dataset, MalformedPayloadsLeaveDatasetsUntouched) {
+    ManualWorld w;
+    DatasetHandle ds{w.client, "sim://server", 10};
+    ASSERT_TRUE(ds.create("kept", "payload").ok());
+    const std::string name = "kept";
+    test::expect_bad_payload_rejected(
+        *w.client, "sim://server", 10,
+        {{"dataset/create", mercury::pack(std::string("new"), std::string("content"))},
+         {"dataset/read", mercury::pack(name)},
+         {"dataset/list", mercury::pack(std::string(""))},
+         {"dataset/destroy", mercury::pack(name)},
+         {"dataset/run_script", mercury::pack(name, std::string("return 1;"))}});
+    EXPECT_EQ(*ds.list(), (std::vector<std::string>{"kept"}));
+    // The provider still serves a well-formed request.
+    auto r = ds.read("kept");
+    ASSERT_TRUE(r.has_value()) << r.error().message;
+    EXPECT_EQ(*r, "payload");
 }

@@ -772,6 +772,34 @@ void tenant_overload(std::uint64_t seed) {
     std::mutex written_mutex;
     std::map<std::string, std::string> written; // ground truth, both tenants
 
+    // Engage the heavy tenant's quota by count, not by client speed: before
+    // any churn, put four bursts' worth of keys into one shard with every
+    // request in flight at once. A serial client slower than the refill
+    // rate (as under a sanitizer) would never drain the bucket.
+    {
+        margo::TenantScope scope{2};
+        const auto layout = kv.layout();
+        const auto& shard = layout.shards().front();
+        yokan::Database db{app, shard.node, ElasticKvService::shard_provider_id(shard.id)};
+        std::vector<std::pair<std::string, margo::AsyncRequest>> burst;
+        for (int i = 0; burst.size() < 4 * 20; ++i) { // 4 x burst_ops
+            auto k = "hb" + std::to_string(i);
+            if (layout.shard_for_key(k).id != shard.id) continue;
+            burst.emplace_back(k, db.put_multi_async({{k, "burst"}}));
+        }
+        for (auto& [k, req] : burst) {
+            auto r = req.wait_unpack<std::uint64_t, bool>();
+            if (r) {
+                written[k] = "burst";
+            } else if (r.error().code == Error::Code::Backpressure) {
+                ++heavy_backpressure;
+            } else {
+                ++client_errors;
+                ADD_FAILURE() << "heavy burst put: " << r.error().message;
+            }
+        }
+    }
+
     std::thread light_thread{[&, seed] {
         margo::TenantScope scope{1};
         ElasticKvClient client{app, kv.controller_address()};

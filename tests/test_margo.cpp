@@ -739,6 +739,43 @@ TEST(Margo, RpcIdCollisionDetected) {
     EXPECT_TRUE(nodes.server->deregister_rpc("costarring", margo::k_default_provider_id).ok());
 }
 
+TEST(Margo, TypedHandlerRejectsMalformedPayloadsBeforeTheBody) {
+    TwoNodes nodes;
+    std::atomic<int> entered{0};
+    std::atomic<bool> aliased{false};
+    ASSERT_TRUE(nodes.server
+                    ->register_rpc("typed", margo::k_default_provider_id,
+                                   margo::typed_handler<std::uint64_t, std::string_view>(
+                                       [&](const margo::Request& req, std::uint64_t n,
+                                           std::string_view text) {
+                                           ++entered;
+                                           const std::string& p = req.payload();
+                                           aliased = text.data() >= p.data() &&
+                                                     text.data() + text.size() <=
+                                                         p.data() + p.size();
+                                           req.respond_values(n, std::string(text));
+                                       }))
+                    .has_value());
+    const std::string valid = mercury::pack(std::uint64_t{42}, std::string("zero-copy"));
+    for (const std::string& bad :
+         {std::string{}, valid.substr(0, 4), valid.substr(0, valid.size() - 1)}) {
+        auto r = nodes.client->forward("sim://server", "typed", bad);
+        ASSERT_FALSE(r.has_value()) << bad.size();
+        EXPECT_EQ(r.error().code, Error::Code::InvalidArgument);
+        EXPECT_EQ(r.error().message, "bad payload");
+    }
+    EXPECT_EQ(entered.load(), 0);
+    // A well-formed payload reaches the body, with the string_view argument
+    // aliasing the request payload rather than a copy of it.
+    auto ok = nodes.client->call<std::uint64_t, std::string>(
+        "sim://server", "typed", {}, std::uint64_t{42}, std::string("zero-copy"));
+    ASSERT_TRUE(ok.has_value()) << ok.error().message;
+    EXPECT_EQ(std::get<0>(*ok), 42u);
+    EXPECT_EQ(std::get<1>(*ok), "zero-copy");
+    EXPECT_EQ(entered.load(), 1);
+    EXPECT_TRUE(aliased.load());
+}
+
 TEST(MargoProvider, ProviderAndHandleAnatomy) {
     // Figure 1 end-to-end with the base classes.
     class EchoProvider : public margo::Provider {

@@ -2,6 +2,7 @@
 // lifecycle, remote script execution, persistent environments, and the
 // Bedrock module.
 #include "bedrock/process.hpp"
+#include "malformed_payload.hpp"
 #include "poesie/provider.hpp"
 
 #include <gtest/gtest.h>
@@ -120,4 +121,24 @@ TEST(Poesie, BedrockModule) {
     EXPECT_TRUE(found);
     client->shutdown();
     proc->shutdown();
+}
+
+TEST(Poesie, MalformedPayloadsLeaveVmsUntouched) {
+    PoesieWorld w;
+    ASSERT_TRUE(w.handle.create_vm("vm").ok());
+    ASSERT_TRUE(w.handle.execute("vm", "$x = 1;").has_value());
+    const std::string vm = "vm";
+    test::expect_bad_payload_rejected(
+        *w.client, "sim://server", 6,
+        {{"poesie/create_vm", mercury::pack(std::string("vm2"))},
+         {"poesie/destroy_vm", mercury::pack(vm)},
+         {"poesie/execute", mercury::pack(vm, std::string("$x = 2;"))},
+         {"poesie/get_variable", mercury::pack(vm, std::string("x"))},
+         {"poesie/set_variable", mercury::pack(vm, std::string("x"), std::string("3"))}});
+    EXPECT_EQ(*w.handle.list_vms(), (std::vector<std::string>{"vm"}));
+    EXPECT_EQ(w.handle.get_variable("vm", "x")->as_integer(), 1);
+    // The provider still serves a well-formed request.
+    auto r = w.handle.execute("vm", "return $x + 1;");
+    ASSERT_TRUE(r.has_value()) << r.error().message;
+    EXPECT_EQ(r->as_integer(), 2);
 }

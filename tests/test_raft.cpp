@@ -2,6 +2,7 @@
 // apply, leader failover, partitions, log compaction, persistence-based
 // recovery, and the client leader-tracking helper.
 #include "raft/raft.hpp"
+#include "malformed_payload.hpp"
 
 #include <gtest/gtest.h>
 
@@ -430,4 +431,37 @@ TEST(Raft, ClientSubmitMultiTracksLeader) {
     EXPECT_EQ((*r)[2], "abc");
     EXPECT_FALSE(client.known_leader().empty());
     app->shutdown();
+}
+
+TEST(Raft, MalformedPayloadsLeaveStateUntouched) {
+    RaftCluster c{1};
+    ASSERT_EQ(c.leader_index(), 0);
+    auto client = margo::Instance::create(c.fabric, "sim://raft-client").value();
+    const auto& node = c.nodes[0];
+    const auto term = node->term();
+    const auto last = node->last_log_index();
+    // A decoded request_vote/append_entries/install_snapshot at a higher term
+    // would depose the leader; submit would append to the log.
+    const std::uint64_t t = term + 5, zero = 0;
+    const std::string peer = "sim://raft-client";
+    test::expect_bad_payload_rejected(
+        *client, c.addresses[0], 9,
+        {{"raft/request_vote", mercury::pack(t, peer, zero, zero)},
+         {"raft/append_entries",
+          mercury::pack(t, peer, zero, zero, std::vector<std::string>{}, zero)},
+         {"raft/install_snapshot", mercury::pack(t, peer, std::uint64_t{1}, t, peer)},
+         {"raft/submit", mercury::pack(std::string("set:bad"))},
+         {"raft/submit_multi", mercury::pack(std::vector<std::string>{"set:bad"})}});
+    EXPECT_EQ(node->term(), term);
+    EXPECT_EQ(node->last_log_index(), last);
+    EXPECT_EQ(node->role(), raft::Role::Leader);
+    EXPECT_EQ(c.machines[0]->value(), "");
+    // The provider still serves a well-formed request.
+    margo::ForwardOptions opts;
+    opts.provider_id = 9;
+    auto r = client->call<std::string>(c.addresses[0], "raft/submit", opts,
+                                       std::string("set:after"));
+    ASSERT_TRUE(r.has_value()) << r.error().message;
+    EXPECT_EQ(std::get<0>(*r), "after");
+    client->shutdown();
 }

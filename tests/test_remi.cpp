@@ -2,6 +2,7 @@
 // pipelined-chunk path, source cleanup, error handling, and the SimFileStore
 // substrate itself.
 #include "remi/provider.hpp"
+#include "malformed_payload.hpp"
 
 #include <gtest/gtest.h>
 
@@ -303,4 +304,22 @@ TEST(Remi, BulkAccountingExactUnderPipelinedTransfers) {
     }
     EXPECT_EQ(stat_bulk_num, static_cast<std::uint64_t>(k_sets * k_files));
     EXPECT_DOUBLE_EQ(stat_bulk_sum, static_cast<double>(k_sets * k_files * k_size));
+}
+
+TEST(Remi, MalformedPayloadsLeaveTheStoreUntouched) {
+    RemiPair pair;
+    ASSERT_TRUE(pair.dst_store->write("/data/kept", "kept").ok());
+    const std::vector<WireChunkEntry> chunk{{"/data/new", 0, "abc", 1}};
+    test::expect_bad_payload_rejected(
+        *pair.src, "sim://dst", 1,
+        {{"remi/fetch_rdma",
+          mercury::pack(std::string("/data/new"), mercury::BulkHandle{"sim://src", 1, 3})},
+         {"remi/write_chunk", mercury::pack(chunk)}});
+    EXPECT_EQ(pair.dst_store->list("/data/"), (std::vector<std::string>{"/data/kept"}));
+    // The provider still serves a well-formed request.
+    pair.make_files("/in/", 2, 10);
+    auto fileset = remi::Fileset::scan(*pair.src_store, "/in/");
+    auto stats = remi::migrate(pair.src, pair.src_store, fileset, "sim://dst", 1, {});
+    ASSERT_TRUE(stats.has_value()) << stats.error().message;
+    EXPECT_EQ(pair.dst_store->list("/in/").size(), 2u);
 }

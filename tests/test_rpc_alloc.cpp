@@ -133,6 +133,35 @@ TEST(RpcAlloc, WarmScalarEchoIsAllocationFree) {
            "buffer stopped being recycled)";
 }
 
+TEST(RpcAlloc, WarmTypedEchoIsAllocationFree) {
+    // The typed handler decodes in place: a string_view argument aliases
+    // the payload, so decoding adds no allocation to the warm path.
+    EchoWorld world;
+    (void)world.server->register_rpc(
+        "typed_echo", margo::k_default_provider_id,
+        margo::typed_handler<std::string_view>([](const margo::Request& req,
+                                                  std::string_view text) {
+            req.respond(std::string(text));
+        }));
+    const std::string payload = mercury::pack(std::string(7, 'x')); // 15 bytes: SSO
+    for (int i = 0; i < k_warmup_ops; ++i)
+        ASSERT_TRUE(world.client->forward("sim://server", "typed_echo", payload).has_value());
+
+    int failures = 0;
+    g_allocs.store(0, std::memory_order_relaxed);
+    g_counting.store(true, std::memory_order_relaxed);
+    for (int i = 0; i < k_measured_ops; ++i) {
+        auto r = world.client->forward("sim://server", "typed_echo", payload);
+        if (!r || *r != std::string(7, 'x')) ++failures;
+    }
+    g_counting.store(false, std::memory_order_relaxed);
+
+    EXPECT_EQ(failures, 0);
+    EXPECT_LE(g_allocs.load(), k_alloc_budget)
+        << g_allocs.load() << " heap allocations across " << k_measured_ops
+        << " warm typed echo RPCs (expected zero)";
+}
+
 TEST(RpcAlloc, WarmAsyncEchoIsAllocationFree) {
     // The async path exercises AsyncForwardState and the pending-call map in
     // addition to everything the synchronous path touches.

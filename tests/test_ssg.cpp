@@ -1,6 +1,7 @@
 // Tests for SSG: bootstrap, dynamic membership, view digests (Colza-style
 // protocol), SWIM fault detection, refutation, client view fetch.
 #include "ssg/group.hpp"
+#include "malformed_payload.hpp"
 
 #include <gtest/gtest.h>
 
@@ -281,4 +282,31 @@ TEST(Ssg, NoSwimMode) {
     c.instances[2]->shutdown();
     std::this_thread::sleep_for(300ms);
     EXPECT_EQ(c.groups[0]->view().members.size(), 3u);
+}
+
+TEST(Ssg, MalformedPayloadsLeaveTheViewUntouched) {
+    ssg::GroupConfig cfg;
+    cfg.enable_swim = false;
+    SsgCluster c;
+    c.spawn_members(2, cfg);
+    auto client = margo::Instance::create(c.fabric, "sim://ssg-client").value();
+    const auto before = c.groups[0]->view();
+    const std::string group = "test_group", me = "sim://ssg-client";
+    const std::vector<std::string> no_gossip;
+    test::expect_bad_payload_rejected(
+        *client, c.addresses[0], ssg::Group::provider_id_for(group),
+        {{"ssg/ping", mercury::pack(group, me, no_gossip, std::uint64_t{0})},
+         {"ssg/ping_req", mercury::pack(group, me, c.addresses[1])},
+         {"ssg/gossip", mercury::pack(group, me, no_gossip, std::uint64_t{0})},
+         {"ssg/join", mercury::pack(group, me)},
+         {"ssg/get_view", mercury::pack(group)},
+         {"ssg/get_payload", mercury::pack(group)}});
+    const auto after = c.groups[0]->view();
+    EXPECT_EQ(after.members, before.members);
+    EXPECT_EQ(after.version, before.version);
+    // The group still serves a well-formed request.
+    auto v = ssg::Group::fetch_view(client, group, c.addresses[0]);
+    ASSERT_TRUE(v.has_value()) << v.error().message;
+    EXPECT_EQ(v->members, before.members);
+    client->shutdown();
 }

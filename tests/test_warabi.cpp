@@ -2,10 +2,13 @@
 // persistence, the §3.2 composition example (datasets = Yokan metadata +
 // Warabi data), and the Bedrock module.
 #include "bedrock/process.hpp"
+#include "malformed_payload.hpp"
 #include "warabi/provider.hpp"
 #include "yokan/provider.hpp"
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 using namespace mochi;
 
@@ -53,6 +56,21 @@ TEST(Warabi, BoundsChecked) {
     EXPECT_FALSE(target.write(region, 10, "too-long-for-16").ok());
     EXPECT_FALSE(target.read(region, 10, 10).has_value());
     EXPECT_FALSE(target.write(999, 0, "x").ok());
+    // Offsets near 2^64 must not wrap the range check into a std::string
+    // exception on the handler ULT (which would terminate the process), and
+    // a region size std::string cannot hold is rejected, not thrown.
+    constexpr auto max = std::numeric_limits<std::uint64_t>::max();
+    EXPECT_FALSE(target.write(region, max, "xy").ok());
+    EXPECT_FALSE(target.read(region, max, 2).has_value());
+    EXPECT_FALSE(target.write_multi(region, {{0, "ok"}, {max, "xy"}}).ok());
+    char buf[4] = {};
+    EXPECT_FALSE(target.write_bulk(region, max - 1, buf, sizeof buf).ok());
+    EXPECT_FALSE(target.read_bulk(region, max - 1, buf, sizeof buf).ok());
+    auto huge = target.create(max);
+    ASSERT_FALSE(huge.has_value());
+    EXPECT_EQ(huge.error().code, Error::Code::InvalidArgument);
+    // The provider survived and nothing was written.
+    EXPECT_EQ(*target.read(region, 0, 2), std::string(2, '\0'));
 }
 
 TEST(Warabi, BulkReadWrite) {
@@ -212,4 +230,32 @@ TEST(WarabiBatch, WriteMultiValidatesWholeBatchBeforeApplying) {
     EXPECT_FALSE(target.write_multi(999, {{0, "x"}}).ok());
     // Empty batch is a no-op success without any RPC.
     EXPECT_TRUE(target.write_multi(region, {}).ok());
+}
+
+TEST(Warabi, MalformedPayloadsNeverReachTheTarget) {
+    WarabiWorld w;
+    warabi::TargetHandle target{w.client, "sim://server", 4};
+    auto region = *target.create(16);
+    ASSERT_TRUE(target.write(region, 0, "0123456789abcdef").ok());
+    const std::uint64_t r = region, zero = 0;
+    const mercury::BulkHandle bulk{"sim://client", 1, 4};
+    const std::vector<std::pair<std::uint64_t, std::string>> writes{{0, "xy"}};
+    test::expect_bad_payload_rejected(
+        *w.client, "sim://server", 4,
+        {{"warabi/create", mercury::pack(std::uint64_t{8})},
+         {"warabi/write", mercury::pack(r, zero, std::string("xy"))},
+         {"warabi/read", mercury::pack(r, zero, std::uint64_t{4})},
+         {"warabi/erase", mercury::pack(r)},
+         {"warabi/region_size", mercury::pack(r)},
+         {"warabi/write_multi", mercury::pack(r, writes)},
+         {"warabi/write_multi_bulk", mercury::pack(r, std::vector<std::uint64_t>{0}, bulk)},
+         {"warabi/write_bulk", mercury::pack(r, zero, bulk)},
+         {"warabi/read_bulk", mercury::pack(r, zero, bulk)}});
+    // The region's contents and size are unchanged, and no region was
+    // created or erased: the next id follows the first.
+    EXPECT_EQ(*target.read(region, 0, 16), "0123456789abcdef");
+    EXPECT_EQ(*target.region_size(region), 16u);
+    auto next = target.create(4);
+    ASSERT_TRUE(next.has_value());
+    EXPECT_EQ(*next, region + 1);
 }

@@ -3,6 +3,7 @@
 // migration, checkpoint/restore, and the Bedrock module.
 #include "bedrock/client.hpp"
 #include "bedrock/process.hpp"
+#include "malformed_payload.hpp"
 #include "yokan/provider.hpp"
 
 #include <gtest/gtest.h>
@@ -593,4 +594,42 @@ TEST(YokanSplit, ExtractEraseAbsorbMoveRangeBetweenProviders) {
         auto& owner = common::fnv1a64(k) >= mid ? cdb : pdb;
         EXPECT_EQ(*owner.get(k), "v" + std::to_string(i)) << k;
     }
+}
+
+TEST(Yokan, MalformedPayloadsNeverReachTheBackend) {
+    YokanWorld w;
+    yokan::Provider provider{w.server, 3, {}};
+    yokan::Database db{w.client, "sim://server", 3};
+    ASSERT_TRUE(db.put("kept", "value").ok());
+    const std::uint64_t e = 0;
+    const std::string k = "k", v = "v";
+    const std::vector<std::string> keys{"k"};
+    const std::vector<std::pair<std::string, std::string>> pairs{{"k", "v"}};
+    test::expect_bad_payload_rejected(
+        *w.client, "sim://server", 3,
+        {{"yokan/put", mercury::pack(e, k, v)},
+         {"yokan/get", mercury::pack(e, k)},
+         {"yokan/exists", mercury::pack(e, k)},
+         {"yokan/erase", mercury::pack(e, k)},
+         {"yokan/count", mercury::pack(e)},
+         {"yokan/put_multi", mercury::pack(e, pairs)},
+         {"yokan/put_multi_bulk", mercury::pack(e, mercury::BulkHandle{"sim://client", 1, 8})},
+         {"yokan/get_multi", mercury::pack(e, keys)},
+         {"yokan/list_keys", mercury::pack(e, k, k, std::uint64_t{0})},
+         {"yokan/erase_multi", mercury::pack(e, keys)},
+         {"yokan/list_keyvals", mercury::pack(e, k, k, std::uint64_t{0})},
+         {"yokan/size_bytes", mercury::pack(e)},
+         {"yokan/update_epoch", mercury::pack(std::uint64_t{7}, std::string("blob"))},
+         {"yokan/extract_range",
+          mercury::pack(e, e, std::string("/dst/"), std::string("p"), std::string("sim://dst"),
+                        std::string("chunks"), std::uint32_t{1})},
+         {"yokan/erase_range", mercury::pack(e, e)},
+         {"yokan/absorb", mercury::pack(std::string("p"))}});
+    // Nothing reached the backend or the epoch guard.
+    EXPECT_EQ(*db.count(), 1u);
+    EXPECT_EQ(*db.get("kept"), "value");
+    EXPECT_EQ(provider.epoch(), 0u);
+    // The provider still serves well-formed requests.
+    ASSERT_TRUE(db.put("after", "ok").ok());
+    EXPECT_EQ(*db.count(), 2u);
 }
