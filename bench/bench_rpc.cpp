@@ -5,8 +5,10 @@
 //
 // `--json FILE` switches to the hot-path metrics mode consumed by the
 // bench-regression gate (tools/bench_gate.py): small-message ops/s, p99
-// latency, and the speedup of the zero-copy/SPSC fast path over the generic
-// timer-driven delivery path (Fabric::set_fast_path_enabled(false)).
+// latency, and the speedup of the per-thread send cache (fast path) over
+// the mutex-guarded delivery path, which takes the fabric mutex and does
+// its map lookups per message (Fabric::set_fast_path_enabled(false)). Both
+// paths deliver into the same request inbox.
 #include "margo/instance.hpp"
 
 #include <benchmark/benchmark.h>

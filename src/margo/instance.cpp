@@ -98,12 +98,6 @@ Expected<InstancePtr> Instance::create(std::shared_ptr<mercury::Fabric> fabric,
     });
     if (!ep) return ep.error();
     inst->m_endpoint = std::move(ep).value();
-    // Fast-path inbox: clean links deliver straight into the endpoint's
-    // SPSC ring (no timer, no fabric shared_mutex); the wakeup only has to
-    // unpark the progress loop when it has actually gone idle.
-    inst->m_endpoint->enable_fast_inbox([w = std::weak_ptr<Instance>(inst)] {
-        if (auto self = w.lock()) self->wake_progress_loop();
-    });
     // Register the recycle counter up front so it shows up (at zero) in
     // metrics snapshots taken before the first sync.
     inst->m_metrics->counter("margo_pool_recycled_total");
@@ -482,78 +476,26 @@ void Instance::on_network_message(mercury::Message msg) {
     m_queue_cv.signal_one();
 }
 
-void Instance::wake_progress_loop() {
-    // Fast-path producer side of the idle protocol. The push into the SPSC
-    // ring already happened; the fence orders it before the idle-flag read
-    // (pairing with the consumer's store-then-fence-then-recheck), so either
-    // we observe the consumer going idle, or the consumer's recheck observes
-    // our message — never neither.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (!m_progress_idle.load(std::memory_order_relaxed)) return;
-    // The consumer may be between its recheck and the CondVar park. It still
-    // holds m_queue_mutex there, and CondVar::wait_for registers the waiter
-    // before releasing the mutex — so this lock/unlock serializes with the
-    // park and the signal below cannot fall into the gap.
-    m_queue_mutex.lock();
-    m_queue_mutex.unlock();
-    m_queue_cv.signal_one();
-}
-
 void Instance::progress_loop() {
     using namespace std::chrono_literals;
-    mercury::Endpoint* ep = m_endpoint.get();
+    // One inbox, drained in arrival order. The lock is dropped around each
+    // dispatch so producers never block behind handler bookkeeping. The
+    // CondVar registers the waiter before releasing the mutex, so a push +
+    // signal that races the park is never lost; the timed wait only bounds
+    // how long a stop request goes unnoticed.
     mercury::Message msg;
+    m_queue_mutex.lock();
     for (;;) {
-        // Both inboxes carry requests only (replies complete at delivery,
-        // see on_network_message). Drain the lock-free fast inbox first: the
-        // common steady-state source. Each request is dispatched immediately
-        // (no handoff through m_queue), which is what removes the timer hop
-        // + fabric lock from the clean-link round trip.
-        bool did_work = false;
-        while (ep->poll_fast(msg)) {
-            did_work = true;
-            dispatch_request(std::move(msg));
-        }
-        // Then batch-drain the slow queue, dropping the lock around each
-        // dispatch so producers never block behind handler bookkeeping.
-        m_queue_mutex.lock();
         while (!m_queue.empty()) {
             msg = m_queue.pop_front();
             m_queue_mutex.unlock();
-            did_work = true;
             dispatch_request(std::move(msg));
             m_queue_mutex.lock();
         }
-        if (m_stopping.load()) {
-            m_queue_mutex.unlock();
-            break;
-        }
-        if (did_work) {
-            // New work may have arrived while dispatching; re-poll before
-            // considering the park.
-            m_queue_mutex.unlock();
-            continue;
-        }
-        // Idle protocol (consumer side): publish the flag, fence, recheck
-        // the fast ring. A producer that pushed before our fence is seen by
-        // the recheck; one that pushed after it sees the flag and signals.
-        m_progress_idle.store(true, std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        if (!ep->fast_inbox_empty() || !m_queue.empty()) {
-            m_progress_idle.store(false, std::memory_order_relaxed);
-            m_queue_mutex.unlock();
-            continue;
-        }
+        if (m_stopping.load()) break;
         m_queue_cv.wait_for(m_queue_mutex, 50ms);
-        m_progress_idle.store(false, std::memory_order_relaxed);
-        m_queue_mutex.unlock();
     }
-    m_progress_idle.store(false, std::memory_order_relaxed);
-    // Shutdown: discard the requests still in the fast ring, mirroring the
-    // slow queue (their senders observe a timeout, as with any message lost
-    // to teardown). Replies keep completing their calls on delivery until
-    // shutdown()'s pending sweep, which cancels the rest.
-    while (ep->poll_fast(msg)) {}
+    m_queue_mutex.unlock();
     m_progress_done.set();
 }
 
@@ -714,28 +656,37 @@ mercury::BulkHandle Instance::expose(char* data, std::size_t size, bool writable
 
 void Instance::unexpose(std::uint64_t id) { m_endpoint->unexpose(id); }
 
-Status Instance::bulk_pull(const mercury::BulkHandle& remote, std::size_t remote_offset,
-                           char* local, std::size_t size) {
-    double t0 = now_us();
-    auto delay = m_endpoint->bulk_pull(remote, remote_offset, local, size);
+Status Instance::finish_bulk(const Expected<double>& delay, const std::string& peer,
+                             std::size_t size, double t0) {
     if (!delay) return delay.error();
     if (*delay >= 1.0)
         m_runtime->sleep_for(std::chrono::microseconds(static_cast<std::int64_t>(*delay)));
-    CallContext mctx = bulk_call_context(remote.address);
+    CallContext mctx = bulk_call_context(peer);
     emit([&](Monitor& m) { m.on_bulk_complete(mctx, size, now_us() - t0); });
     return {};
+}
+
+Status Instance::bulk_pull(const mercury::BulkHandle& remote, std::size_t remote_offset,
+                           char* local, std::size_t size) {
+    double t0 = now_us();
+    return finish_bulk(m_endpoint->bulk_pull(remote, remote_offset, local, size),
+                       remote.address, size, t0);
 }
 
 Status Instance::bulk_push(const mercury::BulkHandle& remote, std::size_t remote_offset,
                            const char* local, std::size_t size) {
     double t0 = now_us();
-    auto delay = m_endpoint->bulk_push(remote, remote_offset, local, size);
-    if (!delay) return delay.error();
-    if (*delay >= 1.0)
-        m_runtime->sleep_for(std::chrono::microseconds(static_cast<std::int64_t>(*delay)));
-    CallContext mctx = bulk_call_context(remote.address);
-    emit([&](Monitor& m) { m.on_bulk_complete(mctx, size, now_us() - t0); });
-    return {};
+    return finish_bulk(m_endpoint->bulk_push(remote, remote_offset, local, size),
+                       remote.address, size, t0);
+}
+
+Expected<std::string> Instance::bulk_pull_all(const mercury::BulkHandle& remote) {
+    double t0 = now_us();
+    std::string buffer;
+    auto st = finish_bulk(m_endpoint->bulk_pull_all(remote, buffer), remote.address,
+                          remote.size, t0);
+    if (!st.ok()) return st.error();
+    return buffer;
 }
 
 // ---------------------------------------------------------------------------

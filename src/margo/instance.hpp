@@ -248,6 +248,11 @@ class Instance : public std::enable_shared_from_this<Instance> {
                      std::size_t size);
     Status bulk_push(const mercury::BulkHandle& remote, std::size_t remote_offset,
                      const char* local, std::size_t size);
+    /// Pull a whole handle into a new buffer. The buffer is allocated only
+    /// once the owner has confirmed it exposes `remote.size` bytes, so a
+    /// handler can take a client-supplied handle as is: a forged size
+    /// yields InvalidArgument, never an allocation of that size.
+    Expected<std::string> bulk_pull_all(const mercury::BulkHandle& remote);
 
     // -- monitoring (§4) -----------------------------------------------------
 
@@ -363,7 +368,6 @@ class Instance : public std::enable_shared_from_this<Instance> {
 
     void on_network_message(mercury::Message msg);
     void progress_loop();
-    void wake_progress_loop();
     void dispatch_request(mercury::Message msg);
     void dispatch_response(mercury::Message msg);
     void start_sampler();
@@ -374,6 +378,10 @@ class Instance : public std::enable_shared_from_this<Instance> {
     void sync_pool_metrics() const;
     /// CallContext for a bulk transfer, attributed to the ambient RPC/trace.
     CallContext bulk_call_context(const std::string& peer) const;
+    /// Shared tail of the bulk calls: sleep the modeled transfer time on
+    /// the calling ULT and report the transfer to the monitors.
+    Status finish_bulk(const Expected<double>& delay, const std::string& peer,
+                       std::size_t size, double t0);
 
     std::shared_ptr<mercury::Fabric> m_fabric;
     std::shared_ptr<mercury::Endpoint> m_endpoint;
@@ -385,21 +393,14 @@ class Instance : public std::enable_shared_from_this<Instance> {
     std::shared_ptr<abt::Pool> m_handler_pool;
     std::chrono::milliseconds m_default_timeout{2000};
 
-    // Incoming request queue consumed by the progress ULT (replies never
-    // enter it: they complete at delivery). Slow-path requests land here;
-    // fast-path requests bypass it via the endpoint's SPSC ring, which the
-    // progress loop drains lock-free.
-    // The ring-buffer queue recycles its slots, so steady-state traffic that
-    // does reach it stays allocation-free (unlike a deque's chunk churn).
+    // The one request inbox, consumed by the progress ULT in arrival order
+    // (replies never enter it: they complete at delivery). Every delivery
+    // path, cached or mutex-guarded, lands requests here. The ring-buffer
+    // queue recycles its slots, so steady-state traffic stays
+    // allocation-free (unlike a deque's chunk churn).
     abt::Mutex m_queue_mutex;
     abt::CondVar m_queue_cv;
     RingQueue<mercury::Message> m_queue;
-    /// Dekker-style idle flag for the fast-path wakeup: the progress loop
-    /// publishes "about to block" before re-checking the fast inbox, and a
-    /// fast-path producer publishes its push before reading the flag (both
-    /// via seq_cst fences), so at least one side always sees the other and
-    /// a message can never be parked behind a sleeping consumer.
-    std::atomic<bool> m_progress_idle{false};
     std::atomic<bool> m_stopping{false};
     std::atomic<bool> m_stopped{false};
     abt::Eventual<void> m_progress_done;

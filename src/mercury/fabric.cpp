@@ -3,67 +3,9 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cstring>
-#include <thread>
 
 namespace mochi::mercury {
-
-// ---------------------------------------------------------------------------
-// MsgRing
-// ---------------------------------------------------------------------------
-
-MsgRing::MsgRing(std::size_t capacity)
-: m_cells(new Cell[capacity]), m_mask(capacity - 1) {
-    assert((capacity & m_mask) == 0 && "MsgRing capacity must be a power of two");
-    for (std::size_t i = 0; i < capacity; ++i)
-        m_cells[i].seq.store(i, std::memory_order_relaxed);
-}
-
-bool MsgRing::push(Message&& m) {
-    std::size_t pos = m_enqueue.load(std::memory_order_relaxed);
-    for (;;) {
-        Cell& cell = m_cells[pos & m_mask];
-        std::size_t seq = cell.seq.load(std::memory_order_acquire);
-        auto dif = static_cast<std::intptr_t>(seq) - static_cast<std::intptr_t>(pos);
-        if (dif == 0) {
-            if (m_enqueue.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
-                cell.msg = std::move(m);
-                cell.seq.store(pos + 1, std::memory_order_release);
-                return true;
-            }
-            // CAS failure reloaded pos; retry with it.
-        } else if (dif < 0) {
-            return false; // full: slot still occupied by an unread message
-        } else {
-            pos = m_enqueue.load(std::memory_order_relaxed);
-        }
-    }
-}
-
-bool MsgRing::pop(Message& out) {
-    std::size_t pos = m_dequeue.load(std::memory_order_relaxed);
-    for (;;) {
-        Cell& cell = m_cells[pos & m_mask];
-        std::size_t seq = cell.seq.load(std::memory_order_acquire);
-        auto dif = static_cast<std::intptr_t>(seq) - static_cast<std::intptr_t>(pos + 1);
-        if (dif == 0) {
-            // Single consumer: the plain store cannot race another popper.
-            m_dequeue.store(pos + 1, std::memory_order_relaxed);
-            out = std::move(cell.msg);
-            // Release the slot for producers, one full lap ahead.
-            cell.seq.store(pos + m_mask + 1, std::memory_order_release);
-            return true;
-        }
-        if (dif < 0) return false; // empty (or producer mid-publish)
-        pos = m_dequeue.load(std::memory_order_relaxed);
-    }
-}
-
-bool MsgRing::empty() const noexcept {
-    return m_dequeue.load(std::memory_order_acquire) ==
-           m_enqueue.load(std::memory_order_acquire);
-}
 
 // ---------------------------------------------------------------------------
 // Endpoint
@@ -119,23 +61,8 @@ Expected<double> Endpoint::bulk_push(const BulkHandle& remote, std::size_t remot
                              /*pull=*/false);
 }
 
-void Endpoint::enable_fast_inbox(std::function<void()> wakeup) {
-    m_fast_ring = std::make_shared<MsgRing>();
-    m_fast_wakeup = std::move(wakeup);
-    // Publish last: senders gate on this flag (under the fabric mutex when
-    // validating, so the release pairs with that acquire).
-    m_fast_enabled.store(true, std::memory_order_release);
-}
-
-bool Endpoint::poll_fast(Message& out) {
-    if (!m_fast_ring || !m_fast_ring->pop(out)) return false;
-    // Statistics only — see the messages_delivered() ordering contract.
-    m_fabric->m_delivered.fetch_add(1, std::memory_order_relaxed);
-    return true;
-}
-
-bool Endpoint::fast_inbox_empty() const noexcept {
-    return !m_fast_ring || m_fast_ring->empty();
+Expected<double> Endpoint::bulk_pull_all(const BulkHandle& remote, std::string& out) {
+    return m_fabric->bulk_op(m_address, remote, 0, nullptr, remote.size, /*pull=*/true, &out);
 }
 
 // ---------------------------------------------------------------------------
@@ -297,7 +224,6 @@ bool Fabric::validate_fast_entry(const std::string& src, const std::string& dst,
     auto it = m_endpoints.find(dst);
     std::shared_ptr<Endpoint> target;
     if (it == m_endpoints.end() || !(target = it->second.lock())) return false;
-    if (!target->m_fast_enabled.load(std::memory_order_acquire)) return false;
     if (link_blocked(src, dst)) return false;
     // Eligible only when the model would have delivered inline anyway
     // (latency below the timer's 1 µs scheduling threshold, no bandwidth
@@ -343,22 +269,15 @@ bool Fabric::try_fast_send(const std::string& src, const std::string& dst, Messa
     // path's deliver(): Endpoint::detach() quiesces by taking it
     // exclusively after clearing m_attached, and the receiving instance
     // only finalizes its runtime after detach() returns. Without the lock,
-    // the handler or m_fast_wakeup() could still be running into the
-    // receiver while that runtime is being torn down.
+    // the handler could still be running into the receiver while that
+    // runtime is being torn down.
     std::shared_lock deliver_lk{target->m_deliver_mutex};
     if (!target->m_attached.load(std::memory_order_acquire)) {
         entry->eligible = false;
         return false;
     }
-    if (msg.kind == Message::Kind::Response) {
-        // Replies complete at delivery: the handler resolves the caller's
-        // pending call on this thread, so only requests use the ring.
-        m_delivered.fetch_add(1, std::memory_order_relaxed);
-        target->m_handler(std::move(msg));
-        return true;
-    }
-    if (!target->m_fast_ring->push(std::move(msg))) return false; // ring full
-    target->m_fast_wakeup();
+    m_delivered.fetch_add(1, std::memory_order_relaxed);
+    target->m_handler(std::move(msg));
     return true;
 }
 
@@ -412,9 +331,8 @@ Status Fabric::send_from(const std::string& src, const std::string& dst, Message
 
 Expected<double> Fabric::bulk_op(const std::string& src, const BulkHandle& remote,
                                  std::size_t remote_offset, char* local, std::size_t size,
-                                 bool pull) {
+                                 bool pull, std::string* resize) {
     std::shared_ptr<Endpoint> target;
-    double delay_us = 0;
     {
         std::lock_guard lk{m_mutex};
         auto it = m_endpoints.find(remote.address);
@@ -422,26 +340,46 @@ Expected<double> Fabric::bulk_op(const std::string& src, const BulkHandle& remot
             return Error{Error::Code::Unreachable, "no endpoint at address " + remote.address};
         if (link_blocked(src, remote.address))
             return Error{Error::Code::Timeout, "bulk transfer timed out (link cut)"};
-        // RDMA flows data over the link in the data direction.
-        delay_us = pull ? reserve_link_us(remote.address, src, size)
-                        : reserve_link_us(src, remote.address, size);
     }
-    {
-        std::lock_guard rlk{target->m_regions_mutex};
+    // Caller holds target->m_regions_mutex.
+    auto checked_region = [&]() -> Expected<BulkRegion> {
         auto rit = target->m_regions.find(remote.id);
         if (rit == target->m_regions.end())
             return Error{Error::Code::NotFound, "bulk region not exposed"};
         const BulkRegion& region = rit->second;
-        if (remote_offset + size > region.size)
+        // Written so that no sum can wrap past 2^64.
+        if (remote_offset > region.size || size > region.size - remote_offset)
             return Error{Error::Code::InvalidArgument, "bulk transfer out of bounds"};
         if (!pull && !region.writable)
             return Error{Error::Code::PermissionDenied, "bulk region is read-only"};
-        if (pull)
-            std::memcpy(local, region.data + remote_offset, size);
-        else
-            std::memcpy(region.data + remote_offset, local, size);
+        return region;
+    };
+    if (resize != nullptr) {
+        // Sized only once the owner has confirmed the region holds `size`
+        // bytes, but outside the region lock, so a large buffer's page
+        // faults do not stall other transfers; the copy below re-checks.
+        {
+            std::lock_guard rlk{target->m_regions_mutex};
+            if (auto region = checked_region(); !region) return region.error();
+        }
+        resize->resize(size);
+        local = resize->data();
     }
-    return delay_us;
+    {
+        std::lock_guard rlk{target->m_regions_mutex};
+        auto region = checked_region();
+        if (!region) return region.error();
+        if (pull)
+            std::memcpy(local, region->data + remote_offset, size);
+        else
+            std::memcpy(region->data + remote_offset, local, size);
+    }
+    // RDMA flows data over the link in the data direction. Reserved only
+    // once the transfer is in bounds, so a forged size cannot occupy the
+    // link.
+    std::lock_guard lk{m_mutex};
+    return pull ? reserve_link_us(remote.address, src, size)
+                : reserve_link_us(src, remote.address, size);
 }
 
 } // namespace mochi::mercury

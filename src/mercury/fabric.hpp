@@ -95,44 +95,6 @@ struct BulkHandle {
 
 class Fabric;
 
-/// Bounded lock-free message ring (Vyukov's bounded MPMC queue, used here
-/// multi-producer / single-consumer: any number of sender ULTs push, the
-/// receiving endpoint's progress loop is the only popper). Backs the fabric
-/// fast path: requests on fault-free links enqueue here instead of going
-/// through the timer + shared_mutex delivery machinery.
-///
-/// Memory-ordering contract: each cell carries a sequence number. Producers
-/// claim a slot by CAS on the enqueue cursor, write the message, then
-/// publish with a release store of the cell sequence; the consumer's
-/// acquire load of the same sequence is what makes the message contents
-/// visible. Cursor loads are relaxed — they only feed the claim CAS, which
-/// re-validates via the cell sequence.
-class MsgRing {
-  public:
-    /// `capacity` must be a power of two.
-    explicit MsgRing(std::size_t capacity = 1024);
-
-    /// Returns false when the ring is full (caller falls back to the slow
-    /// delivery path; messages are never dropped on overflow).
-    bool push(Message&& m);
-
-    /// Single-consumer pop. Returns false when empty.
-    bool pop(Message& out);
-
-    [[nodiscard]] bool empty() const noexcept;
-
-  private:
-    struct Cell {
-        std::atomic<std::size_t> seq;
-        Message msg;
-    };
-
-    std::unique_ptr<Cell[]> m_cells;
-    std::size_t m_mask;
-    std::atomic<std::size_t> m_enqueue{0};
-    std::atomic<std::size_t> m_dequeue{0};
-};
-
 /// An attached communication endpoint: one per simulated service process.
 class Endpoint {
   public:
@@ -161,31 +123,13 @@ class Endpoint {
                                std::size_t size);
     Expected<double> bulk_push(const BulkHandle& remote, std::size_t remote_offset,
                                const char* local, std::size_t size);
+    /// Pull all `remote.size` bytes of a handle into `out`. `out` is sized
+    /// only after the owner's region is found, under the region lock, to
+    /// hold that many bytes, so a forged size is rejected (InvalidArgument)
+    /// before anything is allocated for it.
+    Expected<double> bulk_pull_all(const BulkHandle& remote, std::string& out);
 
     void detach();
-
-    // -- lock-free fast inbox (opt-in) ---------------------------------------
-    //
-    // A consumer that actively polls (margo's progress loop) can enable a
-    // fast inbox: requests on fault-free links are pushed straight into an
-    // MPSC ring, bypassing the timer thread and the fabric mutex. Responses
-    // on those links skip the ring: the sender's thread invokes the handler
-    // directly, so a reply never waits for the polling thread. `wakeup` is
-    // invoked after every push (from the sender's thread) so a parked
-    // consumer can be poked; it must be cheap, non-blocking, and safe for
-    // the endpoint's whole lifetime. There must be exactly ONE polling
-    // thread.
-
-    /// Enable the fast inbox. Call once, before the endpoint receives
-    /// traffic (margo does so at create()).
-    void enable_fast_inbox(std::function<void()> wakeup);
-
-    /// Pop one fast-inbox message. Counts toward
-    /// Fabric::messages_delivered(), like a handler delivery.
-    bool poll_fast(Message& out);
-
-    /// Approximate emptiness check for the consumer's idle protocol.
-    [[nodiscard]] bool fast_inbox_empty() const noexcept;
 
   private:
     friend class Fabric;
@@ -194,9 +138,6 @@ class Endpoint {
     std::shared_ptr<Fabric> m_fabric;
     std::string m_address;
     MessageHandler m_handler;
-    std::shared_ptr<MsgRing> m_fast_ring;       ///< non-null once enabled
-    std::function<void()> m_fast_wakeup;
-    std::atomic<bool> m_fast_enabled{false};
     /// Held shared around every handler invocation; detach() takes it
     /// exclusively after flipping m_attached, so once detach() returns no
     /// delivery is running and none will start. Without this, a
@@ -231,9 +172,9 @@ class Fabric : public std::enable_shared_from_this<Fabric> {
     void set_link(const std::string& src, const std::string& dst, LinkModel model);
     /// Change the default model for links without an override.
     void set_default_link(LinkModel model);
-    /// Globally enable/disable the lock-free fast path (default: enabled).
+    /// Globally enable/disable the cached fast path (default: enabled).
     /// Benchmarks use this for before/after ablations; links fall back to
-    /// the timer/shared_mutex delivery path when disabled.
+    /// the mutex-guarded delivery path when disabled.
     void set_fast_path_enabled(bool enabled);
 
     /// Addresses currently attached.
@@ -254,15 +195,15 @@ class Fabric : public std::enable_shared_from_this<Fabric> {
     /// The shared parent timer for lightweight runtimes' child timers.
     [[nodiscard]] abt::Timer& lite_timer();
 
-    /// Total messages delivered (for tests and monitoring cross-checks).
+    /// Total messages delivered (for tests and monitoring cross-checks):
+    /// one count per handler invocation, whichever path delivered it.
     ///
     /// Ordering contract: m_delivered is a statistics counter, not a
-    /// synchronization point. Increments (one per handler invocation or
-    /// fast-inbox pop) and this load are all `memory_order_relaxed`: the
-    /// count is monotonically exact, but reading it implies nothing about
-    /// the visibility of any message's side effects. Tests that compare it
-    /// against per-message effects must establish their own
-    /// happens-before (e.g. join the RPC first).
+    /// synchronization point. Increments and this load are all
+    /// `memory_order_relaxed`: the count is monotonically exact, but reading
+    /// it implies nothing about the visibility of any message's side
+    /// effects. Tests that compare it against per-message effects must
+    /// establish their own happens-before (e.g. join the RPC first).
     [[nodiscard]] std::uint64_t messages_delivered() const noexcept {
         return m_delivered.load(std::memory_order_relaxed);
     }
@@ -272,8 +213,11 @@ class Fabric : public std::enable_shared_from_this<Fabric> {
     explicit Fabric(LinkModel default_link, std::uint64_t seed);
 
     Status send_from(const std::string& src, const std::string& dst, Message msg);
+    /// With `resize` set (a pull), `local` is ignored: the region is copied
+    /// into `*resize`, sized to `size` once the bounds check has passed.
     Expected<double> bulk_op(const std::string& src, const BulkHandle& remote,
-                             std::size_t remote_offset, char* local, std::size_t size, bool pull);
+                             std::size_t remote_offset, char* local, std::size_t size, bool pull,
+                             std::string* resize = nullptr);
     void do_detach(const std::string& addr);
 
     /// Compute the modeled completion delay for `bytes` on link src->dst and
@@ -307,7 +251,8 @@ class Fabric : public std::enable_shared_from_this<Fabric> {
     /// Recompute `entry` under m_mutex. Returns entry.eligible.
     bool validate_fast_entry(const std::string& src, const std::string& dst,
                              FastSendCacheEntry& entry);
-    /// Try to deliver via the target's fast inbox; false => use slow path.
+    /// Deliver inline to the target's handler over a cached clean-link
+    /// verdict; false => use the slow path.
     bool try_fast_send(const std::string& src, const std::string& dst, Message& msg);
     /// Bump m_epoch; call with m_mutex held, after any mutation that could
     /// change a cached fast-path verdict.

@@ -39,13 +39,12 @@ Provider::Provider(margo::InstancePtr instance, std::uint16_t provider_id,
     define<std::string, mercury::BulkHandle>(
         "fetch_rdma", [this](const margo::Request& req, const std::string& path,
                              const mercury::BulkHandle& handle) {
-            std::string buffer(handle.size, '\0');
-            if (auto st = this->instance()->bulk_pull(handle, 0, buffer.data(), buffer.size());
-                !st.ok()) {
-                req.respond_error(st.error());
+            auto buffer = this->instance()->bulk_pull_all(handle);
+            if (!buffer) {
+                req.respond_error(buffer.error());
                 return;
             }
-            if (auto st = m_store->write(path, std::move(buffer)); !st.ok()) {
+            if (auto st = m_store->write(path, std::move(*buffer)); !st.ok()) {
                 req.respond_error(st.error());
                 return;
             }

@@ -205,14 +205,13 @@ Provider::Provider(margo::InstancePtr instance, std::uint16_t provider_id,
         [this](const margo::Request& req, std::uint64_t region,
                const std::vector<std::uint64_t>& offsets, const mercury::BulkHandle& handle) {
             if (!admit(req, handle.size)) return;
-            std::string buffer(handle.size, '\0');
-            if (auto st = this->instance()->bulk_pull(handle, 0, buffer.data(), buffer.size());
-                !st.ok()) {
-                req.respond_error(st.error());
+            auto buffer = this->instance()->bulk_pull_all(handle);
+            if (!buffer) {
+                req.respond_error(buffer.error());
                 return;
             }
             std::vector<std::string_view> datas;
-            if (!mercury::unpack_segments(buffer, datas) || datas.size() != offsets.size()) {
+            if (!mercury::unpack_segments(*buffer, datas) || datas.size() != offsets.size()) {
                 req.respond_error(
                     Error{Error::Code::Corruption, "bad write_multi segment buffer"});
                 return;
@@ -223,10 +222,9 @@ Provider::Provider(margo::InstancePtr instance, std::uint16_t provider_id,
         "write_bulk", [this](const margo::Request& req, std::uint64_t region,
                              std::uint64_t offset, const mercury::BulkHandle& handle) {
             if (!admit(req, handle.size)) return;
-            std::string buffer(handle.size, '\0');
-            if (auto st = this->instance()->bulk_pull(handle, 0, buffer.data(), buffer.size());
-                !st.ok()) {
-                req.respond_error(st.error());
+            auto buffer = this->instance()->bulk_pull_all(handle);
+            if (!buffer) {
+                req.respond_error(buffer.error());
                 return;
             }
             std::lock_guard lk{m_mutex};
@@ -235,11 +233,11 @@ Provider::Provider(margo::InstancePtr instance, std::uint16_t provider_id,
                 req.respond_error(Error{Error::Code::NotFound, "no such region"});
                 return;
             }
-            if (!in_bounds(offset, buffer.size(), it->second.size())) {
+            if (!in_bounds(offset, buffer->size(), it->second.size())) {
                 req.respond_error(Error{Error::Code::InvalidArgument, "write out of bounds"});
                 return;
             }
-            it->second.replace(offset, buffer.size(), buffer);
+            it->second.replace(offset, buffer->size(), *buffer);
             req.respond_values(true);
         });
     define<std::uint64_t, std::uint64_t, mercury::BulkHandle>(

@@ -479,16 +479,15 @@ void Provider::define_rpcs() {
             // Byte quota is charged on the bulk transfer size, not the tiny
             // inline payload that merely carries the handle.
             if (!admit(req, handle.size)) return;
-            std::string buffer(handle.size, '\0');
-            if (auto st = instance()->bulk_pull(handle, 0, buffer.data(), buffer.size());
-                !st.ok()) {
-                req.respond_error(st.error());
+            auto buffer = instance()->bulk_pull_all(handle);
+            if (!buffer) {
+                req.respond_error(buffer.error());
                 return;
             }
             // Key views alias `buffer`, which outlives the (synchronous)
             // handle_put_multi call below.
             std::vector<std::pair<std::string_view, std::string>> pairs;
-            if (!mercury::unpack(buffer, pairs)) {
+            if (!mercury::unpack(*buffer, pairs)) {
                 req.respond_error(Error{Error::Code::Corruption, "corrupt bulk batch"});
                 return;
             }

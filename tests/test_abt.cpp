@@ -85,24 +85,30 @@ TEST(AbtRuntime, ThreadHandleJoin) {
 }
 
 TEST(AbtRuntime, YieldInterleavesUlts) {
-    auto rt = abt::Runtime::create_default(); // single ES: interleaving needs yield
+    // Both ULTs are queued on a pool no ES serves yet, so neither can start
+    // (and yield) before the other is posted. The one ES added afterwards
+    // then runs them: interleaving needs yield.
+    auto rt = abt::Runtime::create_default();
+    auto pool = rt->add_pool(parse(R"({"name":"p2","type":"fifo_wait"})"));
+    ASSERT_TRUE(pool.has_value());
     std::vector<int> order;
     std::mutex order_mutex;
     abt::Eventual<void> done_a, done_b;
-    rt->post(rt->primary_pool(), [&] {
+    rt->post(*pool, [&] {
         for (int i = 0; i < 3; ++i) {
             { std::lock_guard lk{order_mutex}; order.push_back(0); }
             abt::yield();
         }
         done_a.set();
     });
-    rt->post(rt->primary_pool(), [&] {
+    rt->post(*pool, [&] {
         for (int i = 0; i < 3; ++i) {
             { std::lock_guard lk{order_mutex}; order.push_back(1); }
             abt::yield();
         }
         done_b.set();
     });
+    ASSERT_TRUE(rt->add_xstream(parse(R"({"name":"es2","scheduler":{"pools":["p2"]}})")).ok());
     done_a.wait();
     done_b.wait();
     // With a single ES and cooperative yields the two ULTs must alternate.

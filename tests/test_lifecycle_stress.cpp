@@ -419,13 +419,14 @@ void async_vs_shutdown(std::uint64_t seed) {
 // Scenario 5: links flipping fast <-> slow under RPC load
 // ---------------------------------------------------------------------------
 //
-// The fabric's SPSC fast path only engages on clean links; flipping a link's
-// fault knobs mid-run retargets in-flight senders between the ring and the
-// timer-driven slow path (and invalidates their per-thread eligibility
-// caches via the topology epoch). Every forward must still resolve exactly
-// once, and once the link settles clean again the path must work — a stale
-// cache entry, a message stranded in the ring, or a lost wakeup at the
-// boundary hangs or fails this scenario.
+// The fabric's cached fast path only engages on clean links; flipping a
+// link's fault knobs mid-run retargets in-flight senders between cached
+// inline delivery and the mutex-guarded, timer-driven slow path (and
+// invalidates their per-thread eligibility caches via the topology epoch).
+// Both paths feed the same request inbox. Every forward must still resolve
+// exactly once, and once the link settles clean again the path must work —
+// a stale cache entry or a lost wakeup at the boundary hangs or fails this
+// scenario.
 
 void fast_slow_flip(std::uint64_t seed) {
     std::mt19937_64 rng(seed);

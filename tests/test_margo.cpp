@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <random>
 #include <thread>
 #include <vector>
@@ -529,6 +530,62 @@ TEST(Margo, ReplyDoesNotWaitForOriginProgressLoop) {
     ASSERT_TRUE(r.has_value()) << r.error().message;
     EXPECT_EQ(*r, "ping");
     EXPECT_TRUE(spinner_still_running) << "the reply waited for the origin's ES";
+}
+
+TEST(Margo, RequestBurstDispatchesInArrivalOrder) {
+    // The server runs on one ES (the default config), which also hosts its
+    // progress loop. A non-yielding ULT occupies that ES while a burst of
+    // requests arrives, so all of them wait in the request inbox at once.
+    // Once the ES is free, every request must be served, in arrival order.
+    // Declared before the nodes: the spinner outlives any early return.
+    abt::Eventual<void> spinning;
+    abt::Eventual<void> spinner_done;
+    std::atomic<bool> release{false};
+    std::atomic<bool> spinner_gave_up{false};
+    TwoNodes nodes;
+    // Written by handler ULTs, which all run on the server's only ES.
+    std::vector<std::uint64_t> seen;
+    ASSERT_TRUE(nodes.server
+                    ->register_rpc("index", margo::k_default_provider_id,
+                                   margo::typed_handler<std::uint64_t>(
+                                       [&seen](const margo::Request& req, std::uint64_t i) {
+                                           seen.push_back(i);
+                                           req.respond_values(i);
+                                       }))
+                    .has_value());
+    auto server = nodes.server;
+    server->runtime()->post(server->runtime()->primary_pool(), [&] {
+        spinning.set();
+        const auto deadline = std::chrono::steady_clock::now() + 10s;
+        while (!release.load()) {
+            if (std::chrono::steady_clock::now() >= deadline) {
+                spinner_gave_up.store(true);
+                break;
+            }
+        }
+        spinner_done.set();
+    });
+    ASSERT_TRUE(spinning.wait_for(5s)) << "the spinner never started";
+    constexpr std::uint64_t k_burst = 2048;
+    margo::ForwardOptions opts;
+    opts.timeout = 30000ms;
+    std::vector<margo::AsyncRequest> reqs;
+    reqs.reserve(k_burst);
+    for (std::uint64_t i = 0; i < k_burst; ++i)
+        reqs.push_back(
+            nodes.client->forward_async("sim://server", "index", mercury::pack(i), opts));
+    const bool spinner_still_running = !spinner_gave_up.load();
+    release.store(true);
+    ASSERT_TRUE(spinner_done.wait_for(10s));
+    EXPECT_TRUE(spinner_still_running) << "the burst did not arrive while the ES was blocked";
+    for (std::uint64_t i = 0; i < k_burst; ++i) {
+        auto r = reqs[i].wait_unpack<std::uint64_t>();
+        ASSERT_TRUE(r.has_value()) << "request " << i << ": " << r.error().message;
+        EXPECT_EQ(std::get<0>(*r), i);
+    }
+    std::vector<std::uint64_t> expected(k_burst);
+    std::iota(expected.begin(), expected.end(), std::uint64_t{0});
+    EXPECT_EQ(seen, expected);
 }
 
 namespace {

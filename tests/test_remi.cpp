@@ -323,3 +323,27 @@ TEST(Remi, MalformedPayloadsLeaveTheStoreUntouched) {
     ASSERT_TRUE(stats.has_value()) << stats.error().message;
     EXPECT_EQ(pair.dst_store->list("/in/").size(), 2u);
 }
+
+TEST(Remi, ForgedBulkSizeRejectedBeforeAllocation) {
+    // The handle names a real 4-byte region but claims 2^63 bytes: the
+    // destination must answer InvalidArgument instead of sizing a buffer by
+    // the claim (which would throw on the handler ULT and end the process).
+    RemiPair pair;
+    char exposed[4] = {'a', 'b', 'c', 'd'};
+    auto handle = pair.src->expose(exposed, sizeof exposed, /*writable=*/false);
+    handle.size = 1ull << 63;
+    margo::ForwardOptions opts;
+    opts.provider_id = 1;
+    auto r = pair.src->forward("sim://dst", "remi/fetch_rdma",
+                               mercury::pack(std::string("/data/forged"), handle), opts);
+    pair.src->unexpose(handle.id);
+    ASSERT_FALSE(r.has_value());
+    EXPECT_EQ(r.error().code, Error::Code::InvalidArgument);
+    EXPECT_TRUE(pair.dst_store->list("/data/").empty());
+    // The provider still serves a well-formed request.
+    pair.make_files("/in/", 2, 10);
+    auto fileset = remi::Fileset::scan(*pair.src_store, "/in/");
+    auto stats = remi::migrate(pair.src, pair.src_store, fileset, "sim://dst", 1, {});
+    ASSERT_TRUE(stats.has_value()) << stats.error().message;
+    EXPECT_EQ(pair.dst_store->list("/in/").size(), 2u);
+}

@@ -69,8 +69,26 @@ TEST(Warabi, BoundsChecked) {
     auto huge = target.create(max);
     ASSERT_FALSE(huge.has_value());
     EXPECT_EQ(huge.error().code, Error::Code::InvalidArgument);
+    // A forged bulk handle claims far more bytes than its owner exposed.
+    // The provider must reject it before sizing a buffer by the claim
+    // (std::string would throw std::length_error on the handler ULT).
+    char exposed[4] = {'a', 'b', 'c', 'd'};
+    auto handle = w.client->expose(exposed, sizeof exposed, /*writable=*/false);
+    handle.size = 1ull << 63;
+    margo::ForwardOptions opts;
+    opts.provider_id = 4;
+    for (const auto& [rpc, payload] :
+         {std::pair{"warabi/write_bulk", mercury::pack(region, std::uint64_t{0}, handle)},
+          std::pair{"warabi/write_multi_bulk",
+                    mercury::pack(region, std::vector<std::uint64_t>{0}, handle)}}) {
+        auto r = w.client->forward("sim://server", rpc, payload, opts);
+        ASSERT_FALSE(r.has_value()) << rpc;
+        EXPECT_EQ(r.error().code, Error::Code::InvalidArgument) << rpc;
+    }
+    w.client->unexpose(handle.id);
     // The provider survived and nothing was written.
     EXPECT_EQ(*target.read(region, 0, 2), std::string(2, '\0'));
+    ASSERT_TRUE(target.write_bulk(region, 0, buf, 2).ok());
 }
 
 TEST(Warabi, BulkReadWrite) {

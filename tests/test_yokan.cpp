@@ -392,6 +392,29 @@ TEST(YokanBatch, LargeBatchRidesBulkTransfer) {
     EXPECT_EQ(w.server->metrics()->counter("margo_batch_ops_total").value(), 64u);
 }
 
+TEST(YokanBatch, ForgedBulkSizeRejectedBeforeAllocation) {
+    // The handle names a real 8-byte region but claims 2^63 bytes: the
+    // provider must answer InvalidArgument instead of sizing a buffer by
+    // the claim (which would throw on the handler ULT and end the process).
+    YokanWorld w;
+    yokan::Provider provider{w.server, 3, {}};
+    yokan::Database db{w.client, "sim://server", 3};
+    char exposed[8] = {};
+    auto handle = w.client->expose(exposed, sizeof exposed, /*writable=*/false);
+    handle.size = 1ull << 63;
+    margo::ForwardOptions opts;
+    opts.provider_id = 3;
+    auto r = w.client->forward("sim://server", "yokan/put_multi_bulk",
+                               mercury::pack(std::uint64_t{0}, handle), opts);
+    w.client->unexpose(handle.id);
+    ASSERT_FALSE(r.has_value());
+    EXPECT_EQ(r.error().code, Error::Code::InvalidArgument);
+    EXPECT_EQ(*db.count(), 0u);
+    // The provider still serves a well-formed request.
+    ASSERT_TRUE(db.put("after", "ok").ok());
+    EXPECT_EQ(*db.count(), 1u);
+}
+
 TEST(YokanBatch, PutMultiAsyncOverlapsBatches) {
     YokanWorld w;
     yokan::Provider provider{w.server, 3, {}};

@@ -67,9 +67,11 @@ GATES = {
         "higher_is_better": True, "tolerance": 1.3},
     ("rpc_hotpath", "small_echo_p99_us"): {
         "higher_is_better": False, "tolerance": 3.0},
-    # On a single-core host the SPSC ring and the generic inline delivery
-    # time-share identically, so no speedup is expected here; the floor only
-    # guards against the fast path regressing into a slowdown.
+    # The fast path only skips the fabric mutex and its map lookups (a
+    # per-thread send cache); both paths deliver inline into the same
+    # request inbox, so little speedup is expected here (1.02-1.11 on a
+    # 4-core host). The floor only guards against the cached path
+    # regressing into a slowdown.
     ("rpc_hotpath", "fast_path_speedup"): {
         "higher_is_better": True, "tolerance": 3.0, "min": 0.75},
     ("rpc", "BM_BulkPull/1048576:bytes_per_second"): {

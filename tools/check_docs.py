@@ -11,6 +11,11 @@
    verbatim in the source tree — placeholder segments like `<id>` are
    split out and the literal fragments around them are grepped for, so
    renaming a counter in src/ without updating the QoS contract fails CI.
+4. Every backticked C++ name in docs/*.md exists in src/: a CamelCase
+   type (`RingQueue`) or a qualified name (`Fabric::messages_delivered`,
+   `margo::Instance::forward()`), each of whose `::` parts must appear as
+   an identifier in a src/ .cpp/.hpp file. Deleting a class or member
+   without updating the docs that describe it fails CI.
 
 Exits non-zero listing every violation.
 """
@@ -39,14 +44,19 @@ def tracked_markdown():
             if line and (REPO / line).exists()]
 
 
-def iter_links(path):
+def prose_lines(path):
+    """(lineno, line) for every line outside fenced code blocks."""
     in_fence = False
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if line.lstrip().startswith("```"):
             in_fence = not in_fence
             continue
-        if in_fence:
-            continue
+        if not in_fence:
+            yield lineno, line
+
+
+def iter_links(path):
+    for lineno, line in prose_lines(path):
         for m in LINK_RE.finditer(line):
             yield lineno, m.group(1)
 
@@ -88,6 +98,13 @@ QOS_METRIC_RE = re.compile(r"`(tenant_[A-Za-z0-9_<>]*_total)`")
 QOS_ERROR_RE = re.compile(r"`(Backpressure|backpressure)`")
 
 
+def source_blob():
+    sources = []
+    for pattern in ("*.cpp", "*.hpp"):
+        sources.extend((REPO / "src").rglob(pattern))
+    return "\n".join(p.read_text() for p in sources)
+
+
 def check_qos_names_exist_in_source():
     doc = REPO / "docs" / "QOS.md"
     if not doc.exists():
@@ -99,11 +116,7 @@ def check_qos_names_exist_in_source():
         return ["docs/QOS.md: no backticked metric/error names found "
                 "(the QoS contract must name its observables)"]
 
-    sources = []
-    for pattern in ("*.cpp", "*.hpp"):
-        sources.extend((REPO / "src").rglob(pattern))
-    blob = "\n".join(p.read_text() for p in sources)
-
+    blob = source_blob()
     errors = []
     for name in sorted(names):
         # `tenant_<id>_ops_total` documents a family: every literal
@@ -118,10 +131,36 @@ def check_qos_names_exist_in_source():
     return errors
 
 
+# A whole backticked span that is a C++ name: a CamelCase type with at
+# least two humps, or a `::`-qualified name, optionally called with `()`.
+CAMEL_TYPE_RE = re.compile(r"^[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+$")
+QUALIFIED_RE = re.compile(r"^(?:[A-Za-z_]\w*::)+~?[A-Za-z_]\w*(?:\(\))?$")
+BACKTICK_RE = re.compile(r"`([^`]+)`")
+
+
+def check_doc_names_exist_in_source():
+    identifiers = set(re.findall(r"[A-Za-z_]\w*", source_blob()))
+    errors = []
+    for path in sorted((REPO / "docs").glob("*.md")):
+        rel = path.relative_to(REPO)
+        for lineno, line in prose_lines(path):
+            for span in BACKTICK_RE.findall(line):
+                if not (CAMEL_TYPE_RE.match(span) or QUALIFIED_RE.match(span)):
+                    continue
+                parts = re.findall(r"[A-Za-z_]\w*", span)
+                missing = [p for p in parts if p not in identifiers]
+                if missing:
+                    errors.append(
+                        f"{rel}:{lineno}: `{span}` not found in src/ "
+                        f"(missing: {', '.join(missing)})")
+    return errors
+
+
 def main():
     errors = check_links(tracked_markdown())
     errors += check_architecture_mentions_every_component()
     errors += check_qos_names_exist_in_source()
+    errors += check_doc_names_exist_in_source()
     for e in errors:
         print(e, file=sys.stderr)
     if errors:
