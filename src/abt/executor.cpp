@@ -17,7 +17,7 @@ Executor::Executor(std::size_t workers) {
         auto hw = static_cast<std::size_t>(std::thread::hardware_concurrency());
         workers = std::clamp<std::size_t>(hw / 2, 2, 8);
     }
-    m_entries = std::make_shared<const std::vector<std::shared_ptr<Entry>>>();
+    m_entries = std::make_shared<const Entries>();
     m_threads.reserve(workers);
     for (std::size_t i = 0; i < workers; ++i)
         m_threads.emplace_back([this] { worker_loop(); });
@@ -43,9 +43,10 @@ std::shared_ptr<Executor::Entry> Executor::register_xstream(Xstream* xs) {
     entry->xs = xs;
     {
         std::lock_guard lk{m_entries_mutex};
-        auto next = std::make_shared<std::vector<std::shared_ptr<Entry>>>(*m_entries);
+        auto next = std::make_shared<Entries>(*m_entries);
         next->push_back(entry);
         m_entries = std::move(next);
+        m_generation.fetch_add(1, std::memory_order_release);
     }
     notify();
     return entry;
@@ -54,12 +55,13 @@ std::shared_ptr<Executor::Entry> Executor::register_xstream(Xstream* xs) {
 void Executor::unregister(const std::shared_ptr<Entry>& entry) {
     if (!entry) return;
     assert(tl_worker_entry != entry.get() &&
-           "a ULT cannot unregister the virtual xstream carrying it");
+           "a ULT cannot unregister the xstream carrying it");
     entry->removed.store(true);
     std::unique_lock lk{m_entries_mutex};
-    auto next = std::make_shared<std::vector<std::shared_ptr<Entry>>>(*m_entries);
+    auto next = std::make_shared<Entries>(*m_entries);
     next->erase(std::remove(next->begin(), next->end(), entry), next->end());
     m_entries = std::move(next);
+    m_generation.fetch_add(1, std::memory_order_release);
     // Workers that hold the old snapshot may still enter the entry once,
     // see `removed`, and back out; wait for the active count to drain.
     m_quiesce_cv.wait(lk, [&] { return entry->active.load() == 0; });
@@ -75,13 +77,15 @@ void Executor::notify() {
 
 void Executor::worker_loop() {
     using namespace std::chrono_literals;
+    std::shared_ptr<const Entries> entries;
+    std::uint64_t seen = ~std::uint64_t{0};
     while (!m_stop.load()) {
-        bool ran = false;
-        std::shared_ptr<const std::vector<std::shared_ptr<Entry>>> entries;
-        {
+        if (m_generation.load(std::memory_order_acquire) != seen) {
             std::lock_guard lk{m_entries_mutex};
             entries = m_entries;
+            seen = m_generation.load(std::memory_order_relaxed);
         }
+        bool ran = false;
         for (const auto& e : *entries) {
             e->active.fetch_add(1);
             if (!e->removed.load()) {
@@ -91,7 +95,6 @@ void Executor::worker_loop() {
                     // fibers from many lightweight instances.
                     ult->runtime->execute_ult(ult);
                     tl_worker_entry = nullptr;
-                    e->xs->count_executed();
                     ran = true;
                 }
             }
@@ -102,8 +105,8 @@ void Executor::worker_loop() {
         }
         if (ran) continue;
         std::unique_lock lk{m_cv_mutex};
-        // Timed wait bounds the latency of observing stop/new work, exactly
-        // like Xstream::scheduler_loop.
+        // The one timed wait of the ULT runtime: it bounds the latency of
+        // observing stop or work in a pool attached after the sweep above.
         m_cv.wait_for(lk, 500us, [&] { return m_wake_pending || m_stop.load(); });
         m_wake_pending = false;
     }

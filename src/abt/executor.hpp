@@ -1,16 +1,18 @@
-// Shared scheduling executor for lightweight runtimes.
+// The scheduler of every execution stream: a crew of OS worker threads that
+// pull ULTs from the pools of the xstreams registered with it.
 //
-// A regular Xstream is one OS thread; a process simulating 100+ Margo
-// instances would burn hundreds of mostly idle threads. The Executor instead
-// owns a small fixed crew of worker threads that service the pools of many
-// *virtual* xstreams (one registration per xstream, possibly across many
-// Runtimes). This works because execute_ult() is reentrant and ULTs never
-// block their carrier thread: an idle progress loop parks as a suspended
-// fiber, costing the executor nothing.
+// A standalone Xstream owns an Executor with one worker, so it costs one OS
+// thread, as an Argobots ES does. Lightweight runtimes instead register all
+// their xstreams with one shared Executor whose small fixed crew services
+// the pools of many xstreams (possibly across many Runtimes): a process
+// simulating 100+ Margo instances then does not burn hundreds of mostly
+// idle threads. Sharing works because execute_ult() is reentrant and ULTs
+// never block their carrier thread: an idle progress loop parks as a
+// suspended fiber, costing the crew nothing.
 //
 // Quiescence contract: unregister() returns only when no worker is inside
 // the entry — after it, the caller may unsubscribe the xstream's pools and
-// finalize its runtime safely (mirrors Xstream::stop_and_join()).
+// finalize its runtime safely.
 #pragma once
 
 #include "abt/ult.hpp"
@@ -28,7 +30,7 @@ class Xstream;
 
 class Executor {
   public:
-    /// One registered virtual xstream. Workers pop from `xs`'s pools while
+    /// One registered xstream. Workers pop from `xs`'s pools while
     /// `removed` is clear; `active` counts workers currently inside the
     /// entry (the quiescence token unregister() waits on).
     struct Entry {
@@ -42,7 +44,7 @@ class Executor {
     Executor(const Executor&) = delete;
     Executor& operator=(const Executor&) = delete;
 
-    /// Register a virtual xstream; workers start servicing its pools.
+    /// Register an xstream; workers start servicing its pools.
     std::shared_ptr<Entry> register_xstream(Xstream* xs);
 
     /// Stop servicing `entry` and wait until no worker touches it.
@@ -53,15 +55,17 @@ class Executor {
     /// Wake an idle worker (called from Pool::push via Xstream::notify).
     void notify();
 
-    [[nodiscard]] std::size_t worker_count() const noexcept { return m_threads.size(); }
-
   private:
+    using Entries = std::vector<std::shared_ptr<Entry>>;
+
     void worker_loop();
 
     std::mutex m_entries_mutex;
-    /// Copy-on-write snapshot: workers copy the shared_ptr once per sweep,
-    /// so registration churn never blocks a sweep mid-iteration.
-    std::shared_ptr<const std::vector<std::shared_ptr<Entry>>> m_entries;
+    /// Copy-on-write snapshot: workers re-copy the shared_ptr only when
+    /// m_generation moved, so a sweep takes no lock and registration churn
+    /// never blocks a sweep mid-iteration.
+    std::shared_ptr<const Entries> m_entries;
+    std::atomic<std::uint64_t> m_generation{0}; ///< bumped under m_entries_mutex
     std::condition_variable m_quiesce_cv; ///< waits on Entry::active, under m_entries_mutex
 
     std::mutex m_cv_mutex;

@@ -42,9 +42,15 @@ const char* to_string(PoolAccess a) noexcept {
 Pool::Pool(std::string name, PoolKind kind, PoolAccess access)
 : m_name(std::move(name)), m_kind(kind), m_access(access) {}
 
-void Pool::push(UltPtr ult, int priority) {
+void Pool::close() {
+    std::lock_guard lk{m_mutex};
+    m_closed = true;
+}
+
+UltPtr Pool::push(UltPtr ult, int priority) {
     {
         std::lock_guard lk{m_mutex};
+        if (m_closed && ult->stack == nullptr) return ult;
         Item item{std::move(ult), priority, m_seq++};
         ++m_total_pushed;
         if (m_kind == PoolKind::Prio) {
@@ -63,6 +69,7 @@ void Pool::push(UltPtr ult, int priority) {
     // the quiescence contract on m_sub_mutex in pool.hpp.
     std::shared_lock slk{m_sub_mutex};
     for (Xstream* es : m_subscribers) es->notify();
+    return nullptr;
 }
 
 UltPtr Pool::pop() {

@@ -35,8 +35,13 @@ class Pool {
     [[nodiscard]] PoolKind kind() const noexcept { return m_kind; }
     [[nodiscard]] PoolAccess access() const noexcept { return m_access; }
 
-    /// Enqueue a ready ULT and wake one subscribed execution stream.
-    void push(UltPtr ult, int priority = 0);
+    /// Enqueue a ready ULT and wake one subscribed execution stream. After
+    /// close(), a ULT that never ran (no stack yet) is refused and handed
+    /// back; requeues of started ULTs still land. Returns nullptr otherwise.
+    UltPtr push(UltPtr ult, int priority = 0);
+
+    /// Refuse fresh ULTs from now on (Runtime::finalize).
+    void close();
 
     /// Dequeue the next runnable ULT, or nullptr if empty.
     [[nodiscard]] UltPtr pop();
@@ -68,6 +73,7 @@ class Pool {
     std::vector<Item> m_heap;     // Prio kind (max-heap by priority, FIFO ties)
     std::uint64_t m_seq = 0;
     std::uint64_t m_total_pushed = 0;
+    bool m_closed = false;
     /// Subscribers are raw pointers into Runtime-owned Xstreams, so their
     /// lifetime is guarded by quiescence: push() notifies while holding
     /// m_sub_mutex shared, and unsubscribe() takes it exclusively — once

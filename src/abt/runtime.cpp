@@ -142,19 +142,16 @@ void resume(Ult* ult) {
 }
 
 // ---------------------------------------------------------------------------
-// Xstream: scheduler thread
+// Xstream: a registration on an Executor
 // ---------------------------------------------------------------------------
 
 Xstream::Xstream(std::string name, std::string sched_type,
-                 std::vector<std::shared_ptr<Pool>> pools, Runtime* rt,
-                 Executor* executor)
-: m_name(std::move(name)), m_sched_type(std::move(sched_type)),
-  m_runtime(rt), m_pools(std::move(pools)), m_executor(executor) {
+                 std::vector<std::shared_ptr<Pool>> pools, Executor* executor)
+: m_name(std::move(name)), m_sched_type(std::move(sched_type)), m_pools(std::move(pools)),
+  m_own_executor(executor != nullptr ? nullptr : std::make_unique<Executor>(1)),
+  m_executor(executor != nullptr ? executor : m_own_executor.get()) {
     for (auto& p : m_pools) p->subscribe(this);
-    if (m_executor != nullptr)
-        m_entry = m_executor->register_xstream(this); // virtual: no own thread
-    else
-        m_thread = std::thread([this] { scheduler_loop(); });
+    m_entry = m_executor->register_xstream(this);
 }
 
 Xstream::~Xstream() { stop_and_join(); }
@@ -174,18 +171,6 @@ bool Xstream::uses_pool(const Pool* pool) const {
     return false;
 }
 
-void Xstream::notify() {
-    if (m_executor != nullptr) {
-        m_executor->notify();
-        return;
-    }
-    {
-        std::lock_guard lk{m_cv_mutex};
-        m_wake_pending = true;
-    }
-    m_cv.notify_one();
-}
-
 UltPtr Xstream::try_pop() {
     std::lock_guard lk{m_pools_mutex};
     for (auto& p : m_pools)
@@ -194,50 +179,17 @@ UltPtr Xstream::try_pop() {
 }
 
 void Xstream::stop_and_join() {
-    m_stop.store(true);
-    if (m_executor != nullptr) {
-        // Quiesce: after unregister() no executor worker touches this
-        // xstream, giving the same guarantee as joining a real ES thread.
+    if (m_entry) {
+        // Quiesce: after unregister() no worker touches this xstream.
         m_executor->unregister(m_entry);
         m_entry.reset();
-    } else {
-        notify();
-        if (m_thread.joinable()) {
-            assert(std::this_thread::get_id() != m_thread.get_id() &&
-                   "an execution stream cannot join itself");
-            m_thread.join();
-        }
     }
     std::lock_guard lk{m_pools_mutex};
     for (auto& p : m_pools) p->unsubscribe(this);
     m_pools.clear();
+    // No push can reach notify() any more: the private crew may go.
+    m_own_executor.reset();
 }
-
-void Xstream::scheduler_loop() {
-    using namespace std::chrono_literals;
-    while (!m_stop.load()) {
-        UltPtr ult;
-        {
-            std::lock_guard lk{m_pools_mutex};
-            for (auto& p : m_pools) {
-                ult = p->pop();
-                if (ult) break;
-            }
-        }
-        if (ult) {
-            run_one(ult);
-            m_executed.fetch_add(1, std::memory_order_relaxed);
-            continue;
-        }
-        std::unique_lock lk{m_cv_mutex};
-        // Timed wait bounds the latency of observing a stop request or a
-        // pool attached after the emptiness check above.
-        m_cv.wait_for(lk, 500us, [&] { return m_wake_pending || m_stop.load(); });
-        m_wake_pending = false;
-    }
-}
-
-void Xstream::run_one(const UltPtr& ult) { m_runtime->execute_ult(ult); }
 
 // ---------------------------------------------------------------------------
 // ThreadHandle
@@ -435,7 +387,7 @@ Status Runtime::add_xstream_locked(const json::Value& xstream_config) {
         pools.push_back(*found);
     }
     m_xstreams.push_back(
-        std::make_unique<Xstream>(name, sched_type, std::move(pools), this, m_executor));
+        std::make_unique<Xstream>(name, sched_type, std::move(pools), m_executor));
     return {};
 }
 
@@ -475,7 +427,7 @@ UltPtr Runtime::make_ult(const std::shared_ptr<Pool>& pool) {
 void Runtime::post(const std::shared_ptr<Pool>& pool, std::function<void()> fn) {
     auto ult = make_ult(pool);
     ult->fn = std::move(fn);
-    pool->push(std::move(ult));
+    if (UltPtr refused = pool->push(std::move(ult))) abort_ult(refused);
 }
 
 void Runtime::post_with_payload(const std::shared_ptr<Pool>& pool, std::shared_ptr<void> payload,
@@ -485,7 +437,7 @@ void Runtime::post_with_payload(const std::shared_ptr<Pool>& pool, std::shared_p
     // Captures one function pointer (8 bytes, trivially copyable): stays in
     // std::function's inline buffer. The payload rides in the descriptor.
     ult->fn = [fn] { fn(current_ult()->task_payload.get()); };
-    pool->push(std::move(ult), priority);
+    if (UltPtr refused = pool->push(std::move(ult), priority)) abort_ult(refused);
 }
 
 ThreadHandle Runtime::post_thread(const std::shared_ptr<Pool>& pool, std::function<void()> fn) {
@@ -494,7 +446,7 @@ ThreadHandle Runtime::post_thread(const std::shared_ptr<Pool>& pool, std::functi
     ult->fn = std::move(fn);
     ult->on_terminate = [event] { event->set(); };
     ThreadHandle handle{ult, event};
-    pool->push(std::move(ult));
+    if (UltPtr refused = pool->push(std::move(ult))) abort_ult(refused);
     return handle;
 }
 
@@ -510,7 +462,7 @@ void Runtime::sleep_for(std::chrono::microseconds d) {
         return;
     }
     Eventual<void> ev;
-    m_timer->schedule(d, [&ev] { ev.set(); });
+    m_timer->schedule_wakeup(d, [&ev] { ev.set(); });
     ev.wait();
 }
 
@@ -616,6 +568,29 @@ std::size_t Runtime::drain_pools(const std::vector<std::shared_ptr<Pool>>& pools
     return executed;
 }
 
+void Runtime::abort_ult(const UltPtr& ult) {
+    Ult* u = ult.get();
+#if MOCHI_TSAN_FIBERS
+    if (u->tsan_fiber) {
+        __tsan_destroy_fiber(u->tsan_fiber);
+        u->tsan_fiber = nullptr;
+    }
+#endif
+    if (u->stack != nullptr) {
+        release_stack(u->stack, u->stack_size);
+        u->stack = nullptr;
+    }
+    u->fn = nullptr;
+    u->task_payload.reset(); // destroy the un-run task's state
+    u->state.store(UltState::Terminated);
+    u->done.store(true);
+    if (u->on_terminate) {
+        auto fn = std::move(u->on_terminate);
+        u->on_terminate = nullptr;
+        fn();
+    }
+}
+
 void Runtime::finalize() {
     std::vector<std::unique_ptr<Xstream>> xstreams;
     std::vector<std::shared_ptr<Pool>> pools;
@@ -628,18 +603,27 @@ void Runtime::finalize() {
         pools = m_pools;
     }
     for (auto& x : xstreams) x->stop_and_join();
+    // From here on new posts are aborted un-run: a thread that keeps posting
+    // cannot keep the drain below busy, and nothing lands in a pool after
+    // the backstop has emptied it.
+    for (const auto& p : pools) p->close();
     // The streams stopped mid-flight: pools may still hold ULTs that were
     // posted but never ran, or that were resumed while the streams were
     // shutting down. Dropping them would leave every ThreadHandle::join()
     // (and any Eventual their on_terminate would set) hung forever — the
     // teardown dead-end this drain exists to prevent. Run them inline on
-    // this thread instead, bounded so a ULT that endlessly reposts work
-    // cannot wedge finalize. The timer is still live during the first pass
-    // so drained ULTs may sleep/timeout normally.
+    // this thread instead, bounded so a ULT that endlessly yields cannot
+    // wedge finalize. The timer is still live during the first pass so
+    // drained ULTs may sleep/timeout normally.
     constexpr std::size_t k_drain_budget = 100000;
     std::size_t executed = drain_pools(pools, k_drain_budget);
-    if (m_timer) m_timer->stop();
-    // Timer callbacks that fired during the first pass may have resumed more
+    // ULTs parked in a sleep or timed wait would be dropped with the timer
+    // and leak their stacks and captured state. Wake them early instead
+    // (a timed wait reports a timeout) and run them to completion.
+    while (executed < k_drain_budget && m_timer->expire_wakeups() > 0)
+        executed += drain_pools(pools, k_drain_budget - executed);
+    m_timer->stop();
+    // Timer callbacks that fired during the passes may have resumed more
     // ULTs; sweep again now that no new wakeups can arrive.
     if (executed < k_drain_budget)
         executed += drain_pools(pools, k_drain_budget - executed);
@@ -653,26 +637,7 @@ void Runtime::finalize() {
         for (const auto& p : pools) {
             while (UltPtr ult = p->pop()) {
                 aborted = true;
-                Ult* u = ult.get();
-#if MOCHI_TSAN_FIBERS
-                if (u->tsan_fiber) {
-                    __tsan_destroy_fiber(u->tsan_fiber);
-                    u->tsan_fiber = nullptr;
-                }
-#endif
-                if (u->stack != nullptr) {
-                    release_stack(u->stack, u->stack_size);
-                    u->stack = nullptr;
-                }
-                u->fn = nullptr;
-                u->task_payload.reset(); // destroy the un-run task's state
-                u->state.store(UltState::Terminated);
-                u->done.store(true);
-                if (u->on_terminate) {
-                    auto fn = std::move(u->on_terminate);
-                    u->on_terminate = nullptr;
-                    fn();
-                }
+                abort_ult(ult);
             }
         }
     }

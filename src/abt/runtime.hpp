@@ -12,12 +12,10 @@
 #include "common/json.hpp"
 #include "common/pool_alloc.hpp"
 
-#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace mochi::abt {
@@ -25,19 +23,19 @@ namespace mochi::abt {
 class Runtime;
 template <typename T> class Eventual;
 
-/// An execution stream: an OS thread running a scheduler that pulls ULTs
-/// from an ordered list of pools (Argobots "xstream", Figure 2).
+/// An execution stream: a registration on an Executor, whose workers pull
+/// ULTs from the xstream's ordered list of pools (Argobots "xstream",
+/// Figure 2).
 ///
-/// Virtual mode: constructed with an Executor, the xstream spawns no thread
-/// of its own — it registers with the shared executor, whose worker crew
-/// services its pools. Everything else (pool subscription, config
-/// round-trip, introspection) behaves identically, so the rest of the stack
-/// cannot tell the difference.
+/// Built without a shared executor, the xstream owns a one-worker Executor:
+/// one OS thread per ES. Built with one (lightweight runtimes), it borrows
+/// that executor's crew instead. Pool subscription, config round-trip and
+/// introspection are the same either way, so the rest of the stack cannot
+/// tell the difference.
 class Xstream {
   public:
     Xstream(std::string name, std::string sched_type,
-            std::vector<std::shared_ptr<Pool>> pools, Runtime* rt,
-            Executor* executor = nullptr);
+            std::vector<std::shared_ptr<Pool>> pools, Executor* executor = nullptr);
     ~Xstream();
 
     Xstream(const Xstream&) = delete;
@@ -48,39 +46,30 @@ class Xstream {
     [[nodiscard]] std::vector<std::string> pool_names() const;
     [[nodiscard]] bool uses_pool(const Pool* p) const;
 
-    /// Wake the scheduler (called by pools on push).
-    void notify();
+    /// Wake the executor (called by pools on push).
+    void notify() { m_executor->notify(); }
 
-    /// Ask the scheduler to exit after the current ULT and join the thread.
+    /// Stop being scheduled: returns once no worker runs this xstream's
+    /// ULTs and every pool has forgotten it. Idempotent.
     void stop_and_join();
-
-    /// ULTs executed by this stream so far.
-    [[nodiscard]] std::uint64_t ults_executed() const noexcept { return m_executed.load(); }
 
     // Internal (Executor workers): pop one ULT from this stream's pools.
     [[nodiscard]] UltPtr try_pop();
-    // Internal (Executor workers): account one executed ULT.
-    void count_executed() noexcept { m_executed.fetch_add(1, std::memory_order_relaxed); }
 
   private:
-    void scheduler_loop();
-    void run_one(const UltPtr& ult);
-
     std::string m_name;
     std::string m_sched_type;
-    Runtime* m_runtime;
 
     mutable std::mutex m_pools_mutex;
     std::vector<std::shared_ptr<Pool>> m_pools;
 
-    std::mutex m_cv_mutex;
-    std::condition_variable m_cv;
-    bool m_wake_pending = false;
-    std::atomic<bool> m_stop{false};
-    std::atomic<std::uint64_t> m_executed{0};
-    std::thread m_thread;
-    Executor* m_executor = nullptr;               ///< non-null => virtual mode
-    std::shared_ptr<Executor::Entry> m_entry;     ///< executor registration
+    /// The private one-worker crew of a standalone ES. Declared before
+    /// m_executor: it must exist before the constructor subscribes to the
+    /// pools (a push calls notify()), and stop_and_join releases it only
+    /// after unsubscribing from every pool.
+    std::unique_ptr<Executor> m_own_executor;
+    Executor* m_executor;                     ///< m_own_executor or a shared crew
+    std::shared_ptr<Executor::Entry> m_entry; ///< registration on m_executor
 };
 
 /// Handle to a posted ULT; join() blocks (ULT-aware) until it terminates.
@@ -107,11 +96,11 @@ class ThreadHandle {
 /// and reconfigurable afterwards with add/remove operations whose validity
 /// is always checked (§5 Observation 2).
 /// Shared execution resources for lightweight runtimes: with `executor`
-/// set, every xstream is virtual (serviced by the executor's worker crew,
-/// no OS thread per ES); with `parent_timer` set, the runtime's timer is a
-/// child multiplexed onto the parent (no timer thread per runtime). Both
-/// must outlive the runtime. This is what lets one test process run 100+
-/// margo instances at a fixed thread count.
+/// set, every xstream registers with that executor instead of owning a
+/// one-worker crew (no OS thread per ES); with `parent_timer` set, the
+/// runtime's timer is a child whose entries live in the parent's queue (no
+/// timer thread per runtime). Both must outlive the runtime. This is what
+/// lets one test process run 100+ margo instances at a fixed thread count.
 struct SharedExecution {
     Executor* executor = nullptr;
     Timer* parent_timer = nullptr;
@@ -183,12 +172,15 @@ class Runtime : public std::enable_shared_from_this<Runtime> {
     /// Stop all execution streams and the timer, then *drain* any ULTs left
     /// in the pools by running them inline on the calling thread (bounded),
     /// so ThreadHandle::join() and on_terminate events always complete even
-    /// for work racing the teardown. ULTs that remain blocked forever are
-    /// leaked, never joined. Idempotent.
+    /// for work racing the teardown. ULTs parked in a sleep or timed wait
+    /// are woken early and run to completion; posts arriving once the
+    /// streams stopped are aborted un-run. ULTs that remain blocked
+    /// forever on anything else are leaked, never joined. Idempotent.
     void finalize();
 
     // Internal: run one ULT to its next suspension point on the calling
-    // thread (the scheduler core, shared by Xstream and finalize's drain).
+    // thread (the scheduler core, shared by Executor workers and finalize's
+    // drain).
     // Reentrant: saves/restores the scheduling thread-locals.
     void execute_ult(const UltPtr& ult);
 
@@ -203,6 +195,8 @@ class Runtime : public std::enable_shared_from_this<Runtime> {
     /// A fresh Ready ULT whose descriptor (and shared_ptr control block)
     /// come from m_ult_pool.
     [[nodiscard]] UltPtr make_ult(const std::shared_ptr<Pool>& pool);
+    /// Terminate a queued ULT without running (the rest of) it.
+    void abort_ult(const UltPtr& ult);
     /// Run queued ULTs inline until all `pools` are empty or `budget` ULT
     /// slices have executed; returns the number of slices run.
     std::size_t drain_pools(const std::vector<std::shared_ptr<Pool>>& pools,
@@ -216,7 +210,7 @@ class Runtime : public std::enable_shared_from_this<Runtime> {
     std::vector<std::shared_ptr<Pool>> m_pools;
     std::vector<std::unique_ptr<Xstream>> m_xstreams;
     std::unique_ptr<Timer> m_timer;
-    Executor* m_executor = nullptr; ///< non-null => xstreams are virtual
+    Executor* m_executor = nullptr; ///< non-null => xstreams share this crew
     bool m_finalized = false;
 
     std::mutex m_stack_mutex;

@@ -77,7 +77,7 @@ bool CondVar::wait_for(Mutex& mtx, std::chrono::microseconds timeout) {
     mtx.unlock();
     if (node.ult != nullptr) {
         Timer& timer = node.ult->runtime->timer();
-        auto tid = timer.schedule(timeout, [this, &node] {
+        auto tid = timer.schedule_wakeup(timeout, [this, &node] {
             std::unique_lock lk{m_mutex};
             if (!m_waiters.remove(&node)) return; // already signaled
             node.timed_out = true;

@@ -220,7 +220,7 @@ class Eventual {
         }
         m_waiters.push_back(&node);
         Timer& timer = node.ult->runtime->timer();
-        auto tid = timer.schedule(timeout, [this, &node] {
+        auto tid = timer.schedule_wakeup(timeout, [this, &node] {
             std::unique_lock lk2{m_mutex};
             if (!m_waiters.remove(&node)) return; // already woken by set_value
             node.timed_out = true;
@@ -241,66 +241,22 @@ class Eventual {
     detail::WaitList m_waiters;
 };
 
-/// Eventual<void>: a one-shot event.
+namespace detail {
+struct Unit {};
+} // namespace detail
+
+/// Eventual<void>: a one-shot event, an Eventual over an empty value.
 template <>
-class Eventual<void> {
+class Eventual<void> : private Eventual<detail::Unit> {
+    using Base = Eventual<detail::Unit>;
+
   public:
-    void set() {
-        std::unique_lock lk{m_mutex};
-        if (m_ready) return;
-        m_ready = true;
-        detail::wake_all_and_release(std::move(lk), m_cv, m_waiters.take());
-    }
-
-    [[nodiscard]] bool test() const {
-        std::lock_guard lk{m_mutex};
-        return m_ready;
-    }
-
-    void wait() {
-        std::unique_lock lk{m_mutex};
-        if (m_ready) return;
-        detail::WaitNode node;
-        node.ult = current_ult();
-        if (node.ult == nullptr) {
-            m_waiters.push_back(&node);
-            m_cv.wait(lk, [&] { return node.signaled.load(std::memory_order_acquire); });
-            return;
-        }
-        m_waiters.push_back(&node);
-        lk.unlock();
-        suspend_current();
-    }
-
+    void set() { set_value({}); }
+    using Base::test;
+    void wait() { (void)Base::wait(); }
     bool wait_for(std::chrono::microseconds timeout) {
-        std::unique_lock lk{m_mutex};
-        if (m_ready) return true;
-        detail::WaitNode node;
-        node.ult = current_ult();
-        if (node.ult == nullptr) {
-            return m_cv.wait_for(lk, timeout, [&] { return m_ready; });
-        }
-        m_waiters.push_back(&node);
-        Timer& timer = node.ult->runtime->timer();
-        auto tid = timer.schedule(timeout, [this, &node] {
-            std::unique_lock lk2{m_mutex};
-            if (!m_waiters.remove(&node)) return;
-            node.timed_out = true;
-            Ult* u = node.ult;
-            lk2.unlock();
-            resume(u);
-        });
-        lk.unlock();
-        suspend_current();
-        timer.cancel(tid);
-        return !node.timed_out;
+        return Base::wait_for(timeout).has_value();
     }
-
-  private:
-    mutable std::mutex m_mutex;
-    std::condition_variable m_cv;
-    bool m_ready = false;
-    detail::WaitList m_waiters;
 };
 
 /// ULT-aware mutex with FIFO handoff (no barging, so ULT waiters cannot be

@@ -1,124 +1,118 @@
 #include "abt/timer.hpp"
 
+#include <vector>
+
 namespace mochi::abt {
 
-Timer::Timer() : m_thread([this] { loop(); }) {}
+Timer::Timer() : m_host(*this), m_thread([this] { loop(); }) {}
 
-Timer::Timer(Timer& parent) : m_parent(&parent) {}
+Timer::Timer(Timer& host) : m_host(host.m_host) {}
 
 Timer::~Timer() { stop(); }
 
 Timer::TimerId Timer::schedule(std::chrono::microseconds delay, std::function<void()> fn) {
-    if (m_parent != nullptr) {
-        // Child mode: forward to the parent, recording the id so stop() can
-        // cancel exactly this child's entries. The wrapper erases the id
-        // once the callback ran; it synchronizes on m_child_mutex, which we
-        // hold across the parent schedule — the callback cannot observe the
-        // id box before it is filled in.
-        std::lock_guard lk{m_child_mutex};
-        if (m_child_stopped) return 0; // dropped, like a stopped timer
-        auto idbox = std::make_shared<TimerId>(0);
-        TimerId id = m_parent->schedule(delay, [this, idbox, f = std::move(fn)] {
-            f();
-            std::lock_guard clk{m_child_mutex};
-            m_outstanding.erase(*idbox);
-        });
-        *idbox = id;
-        m_outstanding.insert(id);
-        return id;
-    }
-    std::lock_guard lk{m_mutex};
-    TimerId id = m_next_id++;
-    auto deadline = Clock::now() + delay;
-    m_entries.emplace(deadline, std::make_pair(id, std::move(fn)));
+    return schedule_at(Clock::now() + delay, std::move(fn));
+}
+
+Timer::TimerId Timer::schedule_wakeup(std::chrono::microseconds delay,
+                                      std::function<void()> fn) {
+    return schedule_at(Clock::now() + delay, std::move(fn), true);
+}
+
+Timer::TimerId Timer::schedule_at(Clock::time_point deadline, std::function<void()> fn,
+                                  bool wakeup) {
+    Timer& h = m_host;
+    std::lock_guard lk{h.m_mutex};
+    if (m_stopped || h.m_stopped) return 0;
+    TimerId id = h.m_next_id++;
+    h.m_entries.emplace(deadline, Entry{id, this, wakeup, std::move(fn)});
     // Wake the timer thread only if this entry is due before whatever it is
     // currently sleeping toward. The common RPC pattern — schedule a far-out
     // timeout, complete, cancel — then never touches the condvar, saving a
     // futex wake + context switch per call.
-    if (deadline < m_wait_deadline) m_cv.notify_one();
+    if (deadline < h.m_wait_deadline) h.m_cv.notify_one();
     return id;
 }
 
 bool Timer::cancel(TimerId id) {
-    if (m_parent != nullptr) {
-        {
-            std::lock_guard lk{m_child_mutex};
-            // Not outstanding: never scheduled through this child, already
-            // ran (the wrapper erased it), or already cancelled.
-            if (m_outstanding.erase(id) == 0) return false;
-        }
-        // Pending at the parent => prevented; running => this blocks until
-        // the callback finishes, preserving the cancel contract.
-        return m_parent->cancel(id);
-    }
-    std::unique_lock lk{m_mutex};
-    for (auto it = m_entries.begin(); it != m_entries.end(); ++it) {
-        if (it->second.first == id) {
+    if (id == 0) return false; // never scheduled (timer was stopped)
+    Timer& h = m_host;
+    std::unique_lock lk{h.m_mutex};
+    for (auto it = h.m_entries.begin(); it != h.m_entries.end(); ++it) {
+        if (it->second.id == id && it->second.owner == this) {
             // No notify: if this was the earliest entry the thread wakes at
             // the stale deadline, finds nothing due, and re-sleeps. That is
             // cheaper than unconditionally waking it now.
-            m_entries.erase(it);
+            h.m_entries.erase(it);
             return true;
         }
     }
     // Not pending: either already done, or running right now. Wait out a
     // running callback so the caller may free state the callback captures.
-    m_cv.wait(lk, [&] { return m_running_id != id; });
+    h.m_cv.wait(lk, [&] { return h.m_running_id != id; });
     return false;
 }
 
-void Timer::stop() {
-    if (m_parent != nullptr) {
-        // Cancel everything this child scheduled. Each cancel either removes
-        // a pending parent entry or waits out the callback mid-flight, so
-        // when this returns none of our callbacks runs or is running — the
-        // guarantee Runtime::finalize relies on — while the parent (shared
-        // with other lightweight runtimes) keeps running.
-        std::set<TimerId> ids;
-        {
-            std::lock_guard lk{m_child_mutex};
-            if (m_child_stopped) return;
-            m_child_stopped = true;
-            ids.swap(m_outstanding);
+std::size_t Timer::expire_wakeups() {
+    std::vector<std::function<void()>> due;
+    {
+        std::lock_guard lk{m_host.m_mutex};
+        for (auto it = m_host.m_entries.begin(); it != m_host.m_entries.end();) {
+            if (it->second.owner == this && it->second.wakeup) {
+                due.push_back(std::move(it->second.fn));
+                it = m_host.m_entries.erase(it);
+            } else {
+                ++it;
+            }
         }
-        for (TimerId id : ids) m_parent->cancel(id);
+    }
+    for (auto& fn : due) fn();
+    return due.size();
+}
+
+void Timer::stop() {
+    Timer& h = m_host;
+    std::unique_lock lk{h.m_mutex};
+    if (m_stopped) return;
+    m_stopped = true;
+    if (&h != this) {
+        std::erase_if(h.m_entries, [this](const auto& kv) { return kv.second.owner == this; });
+        h.m_cv.wait(lk, [&] { return h.m_running_owner != this; });
         return;
     }
-    {
-        std::lock_guard lk{m_mutex};
-        if (m_stop) return;
-        m_stop = true;
-        m_entries.clear();
-        m_cv.notify_all();
-    }
+    m_entries.clear();
+    m_cv.notify_all();
+    lk.unlock();
     if (m_thread.joinable()) m_thread.join();
 }
 
 void Timer::loop() {
     std::unique_lock lk{m_mutex};
-    while (!m_stop) {
+    while (!m_stopped) {
         if (m_entries.empty()) {
             m_wait_deadline = Clock::time_point::max();
-            m_cv.wait(lk, [&] { return m_stop || !m_entries.empty(); });
+            m_cv.wait(lk, [&] { return m_stopped || !m_entries.empty(); });
             m_wait_deadline = Clock::time_point::min();
             continue;
         }
         auto it = m_entries.begin();
-        auto now = Clock::now();
-        if (it->first > now) {
+        if (it->first > Clock::now()) {
             m_wait_deadline = it->first;
             m_cv.wait_until(lk, it->first);
             m_wait_deadline = Clock::time_point::min();
             continue; // re-evaluate: earlier entries / stop may have arrived
         }
-        auto [id, fn] = std::move(it->second);
+        std::function<void()> fn = std::move(it->second.fn);
+        m_running_id = it->second.id;
+        m_running_owner = it->second.owner;
         m_entries.erase(it);
-        m_running_id = id;
         lk.unlock();
         fn();
+        fn = nullptr; // captured state dies before cancel()/stop() may return
         lk.lock();
         m_running_id = 0;
-        m_cv.notify_all(); // unblock cancel() waiting on this callback
+        m_running_owner = nullptr;
+        m_cv.notify_all(); // unblock cancel()/stop() waiting on this callback
     }
 }
 

@@ -10,9 +10,9 @@ Expected<std::shared_ptr<PoolAutoscaler>> PoolAutoscaler::attach(margo::Instance
     if (config.min_xstreams == 0 || config.min_xstreams > config.max_xstreams)
         return Error{Error::Code::InvalidArgument, "invalid xstream bounds"};
     if (auto pool = instance->find_pool_by_name(config.pool); !pool) return pool.error();
-    auto scaler = std::shared_ptr<PoolAutoscaler>(
-        new PoolAutoscaler(std::move(instance), std::move(config)));
-    scaler->m_instance->add_monitor(scaler);
+    auto scaler =
+        std::shared_ptr<PoolAutoscaler>(new PoolAutoscaler(instance.get(), std::move(config)));
+    instance->add_monitor(scaler);
     return scaler;
 }
 

@@ -51,11 +51,14 @@ class PoolAutoscaler : public margo::Monitor,
     void disable() noexcept { m_enabled.store(false); }
 
   private:
-    explicit PoolAutoscaler(margo::InstancePtr instance, AutoscalerConfig config)
-    : m_instance(std::move(instance)), m_config(std::move(config)) {}
+    explicit PoolAutoscaler(margo::Instance* instance, AutoscalerConfig config)
+    : m_instance(instance), m_config(std::move(config)) {}
     void decide(double avg_depth);
 
-    margo::InstancePtr m_instance;
+    /// Not owning: the instance owns this monitor (a shared_ptr back would
+    /// be a cycle that leaks both), and its shutdown joins any decision in
+    /// flight (on_shutdown) before the instance can go away.
+    margo::Instance* m_instance;
     AutoscalerConfig m_config;
     std::mutex m_mutex;
     std::deque<double> m_samples;

@@ -52,10 +52,10 @@ Expected<InstancePtr> Instance::create(std::shared_ptr<mercury::Fabric> fabric,
     inst->m_address = std::move(address);
     inst->m_epoch = std::chrono::steady_clock::now();
 
-    // Lightweight mode: no dedicated OS threads for this instance — ESs are
-    // virtual (serviced by the fabric's shared worker crew) and the timer is
-    // a child of the fabric's shared timer. This is what makes 100+
-    // simulated nodes per process affordable.
+    // Lightweight mode: no dedicated OS threads for this instance — its ESs
+    // register with the fabric's shared worker crew instead of each owning
+    // one, and its timer is a child of the fabric's shared timer. This is
+    // what makes 100+ simulated nodes per process affordable.
     abt::SharedExecution shared;
     if (config.get_bool("lightweight", false)) {
         shared.executor = &inst->m_fabric->lite_executor();

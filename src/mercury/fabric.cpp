@@ -83,8 +83,8 @@ std::shared_ptr<Fabric> Fabric::create(LinkModel default_link, std::uint64_t see
 
 Fabric::~Fabric() {
     // Lightweight instances were shut down before the fabric goes: their
-    // runtimes unregistered from the executor and cancelled their child
-    // timer entries, so stopping the shared resources here is quiescent.
+    // runtimes unregistered from the executor and stopped their child
+    // timers, so stopping the shared resources here is quiescent.
     m_lite_executor.reset();
     if (m_lite_timer) m_lite_timer->stop();
     m_timer.stop();
@@ -195,20 +195,33 @@ double Fabric::reserve_link_us(const std::string& src, const std::string& dst,
     LinkModel model = link_model(src, dst);
     double now = now_us();
     double transfer = model.transfer_us(bytes);
-    double& busy_until = m_link_busy_until_us[{src, dst}];
+    double& busy_until = m_link_state[{src, dst}].busy_until_us;
     double start = std::max(now, busy_until);
     busy_until = start + transfer;
     double completion = start + transfer + model.latency_us;
     return completion - now;
 }
 
-double Fabric::enforce_link_fifo(const std::string& src, const std::string& dst,
-                                 double delay_us) {
-    double now = now_us();
-    double& last = m_link_last_delivery_us[{src, dst}];
-    double delivery = std::max(now + delay_us, last);
-    last = delivery;
-    return delivery - now;
+void Fabric::schedule_delivery(LinkState& link, const std::shared_ptr<Endpoint>& target,
+                               Message msg, double at_us) {
+    auto deadline = m_epoch + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                                  std::chrono::duration<double, std::micro>(at_us));
+    link.pending.fetch_add(1);
+    // A weak reference: a queued message must not keep its endpoint (and,
+    // through it, this fabric) alive, or the timer thread could end up
+    // destroying the fabric that owns it.
+    m_timer.schedule_at(deadline, [this, &link, wep = std::weak_ptr<Endpoint>(target),
+                                   m = std::move(msg)]() mutable {
+        if (auto ep = wep.lock()) deliver(*ep, std::move(m));
+        link.pending.fetch_sub(1);
+    });
+}
+
+void Fabric::deliver(Endpoint& target, Message msg) {
+    std::shared_lock lk{target.m_deliver_mutex};
+    if (!target.m_attached.load()) return; // crashed meanwhile
+    m_delivered.fetch_add(1, std::memory_order_relaxed);
+    target.m_handler(std::move(msg));
 }
 
 bool Fabric::validate_fast_entry(const std::string& src, const std::string& dst,
@@ -286,8 +299,6 @@ Status Fabric::send_from(const std::string& src, const std::string& dst, Message
         try_fast_send(src, dst, msg))
         return {};
     std::shared_ptr<Endpoint> target;
-    double delay_us = 0;
-    double dup_delay_us = -1.0; ///< >= 0: deliver a duplicate copy after this
     {
         std::lock_guard lk{m_mutex};
         auto it = m_endpoints.find(dst);
@@ -298,34 +309,36 @@ Status Fabric::send_from(const std::string& src, const std::string& dst, Message
         LinkModel model = link_model(src, dst);
         std::uniform_real_distribution<double> dist{0.0, 1.0};
         if (model.loss_probability > 0.0 && dist(m_rng) < model.loss_probability) return {};
-        delay_us = reserve_link_us(src, dst, msg.payload.size());
-        if (model.jitter_us > 0.0) delay_us += dist(m_rng) * model.jitter_us;
-        delay_us = enforce_link_fifo(src, dst, delay_us);
-        if (model.duplicate_probability > 0.0 && dist(m_rng) < model.duplicate_probability) {
-            // The duplicate occupies the link like a real retransmission and
-            // gets its own jitter, so it arrives after the original (per-link
-            // FIFO still holds; the redundant copy may land mid-handling).
-            dup_delay_us = reserve_link_us(src, dst, msg.payload.size());
-            if (model.jitter_us > 0.0) dup_delay_us += dist(m_rng) * model.jitter_us;
-            dup_delay_us = enforce_link_fifo(src, dst, dup_delay_us);
+        LinkState& link = m_link_state[{src, dst}];
+        double now = now_us();
+        // Jitter (and mid-run model changes) must not reorder a link's
+        // messages: each lands at or after the last one handed out.
+        auto arrival_us = [&] {
+            double at = now + reserve_link_us(src, dst, msg.payload.size());
+            if (model.jitter_us > 0.0) at += dist(m_rng) * model.jitter_us;
+            link.last_delivery_us = std::max(at, link.last_delivery_us);
+            return link.last_delivery_us;
+        };
+        double at_us = arrival_us();
+        // The duplicate occupies the link like a real retransmission and
+        // gets its own jitter, so it arrives after the original (per-link
+        // FIFO still holds; the redundant copy may land mid-handling).
+        bool duplicate =
+            model.duplicate_probability > 0.0 && dist(m_rng) < model.duplicate_probability;
+        // Inline delivery (below the timer's 1 µs resolution) must not
+        // overtake a message of this link still waiting in the timer.
+        if (duplicate || at_us - now >= 1.0 || link.pending.load() != 0) {
+            if (duplicate) {
+                double dup_at_us = arrival_us();
+                schedule_delivery(link, target, msg, at_us);
+                schedule_delivery(link, target, std::move(msg), dup_at_us);
+            } else {
+                schedule_delivery(link, target, std::move(msg), at_us);
+            }
+            return {};
         }
     }
-    auto dispatch = [this](std::shared_ptr<Endpoint> ep, Message m, double after_us) {
-        auto deliver = [this, ep = std::move(ep), m = std::move(m)]() mutable {
-            std::shared_lock lk{ep->m_deliver_mutex};
-            if (!ep->m_attached.load()) return; // crashed meanwhile
-            m_delivered.fetch_add(1, std::memory_order_relaxed);
-            ep->m_handler(std::move(m));
-        };
-        if (after_us < 1.0) {
-            deliver();
-        } else {
-            m_timer.schedule(std::chrono::microseconds(static_cast<std::int64_t>(after_us)),
-                             std::move(deliver));
-        }
-    };
-    if (dup_delay_us >= 0.0) dispatch(target, msg, dup_delay_us);
-    dispatch(std::move(target), std::move(msg), delay_us);
+    deliver(*target, std::move(msg));
     return {};
 }
 

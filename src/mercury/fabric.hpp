@@ -220,17 +220,27 @@ class Fabric : public std::enable_shared_from_this<Fabric> {
                              std::string* resize = nullptr);
     void do_detach(const std::string& addr);
 
+    /// Per directional link timing state. Map nodes are never erased, so
+    /// a scheduled delivery may hold a LinkState* across the timer wait.
+    struct LinkState {
+        double busy_until_us = 0.0;    ///< transfers occupy the link until then
+        double last_delivery_us = 0.0; ///< latest delivery time handed out
+        /// Deliveries still waiting in m_timer (incremented under m_mutex,
+        /// decremented once the handler returned): a message may be
+        /// delivered inline only when this is 0, or it would overtake them.
+        std::atomic<std::uint32_t> pending{0};
+    };
+
     /// Compute the modeled completion delay for `bytes` on link src->dst and
     /// advance the link's busy horizon (serializes transfers per link).
     [[nodiscard]] double reserve_link_us(const std::string& src, const std::string& dst,
                                          std::size_t bytes);
-    /// Clamp a computed delivery delay so it lands at or after the last
-    /// delivery scheduled on the same directional link. Jitter (and mid-run
-    /// model changes) must not break per-link FIFO ordering — the rest of
-    /// the stack, and FabricModel.MessagesDeliveredInOrderPerLink, rely on
-    /// it. Caller must hold m_mutex.
-    [[nodiscard]] double enforce_link_fifo(const std::string& src, const std::string& dst,
-                                           double delay_us);
+    /// Queue `msg` for delivery at `at_us` (µs since m_epoch). Called under
+    /// m_mutex, so deliveries with equal times keep their send order.
+    void schedule_delivery(LinkState& link, const std::shared_ptr<Endpoint>& target,
+                           Message msg, double at_us);
+    /// Hand `msg` to the target's handler unless it detached meanwhile.
+    void deliver(Endpoint& target, Message msg);
     [[nodiscard]] bool link_blocked(const std::string& src, const std::string& dst) const;
     [[nodiscard]] LinkModel link_model(const std::string& src, const std::string& dst) const;
 
@@ -265,8 +275,7 @@ class Fabric : public std::enable_shared_from_this<Fabric> {
     std::map<std::string, std::weak_ptr<Endpoint>> m_endpoints;
     std::set<std::pair<std::string, std::string>> m_cuts; ///< directional
     std::map<std::pair<std::string, std::string>, LinkModel> m_links;
-    std::map<std::pair<std::string, std::string>, double> m_link_busy_until_us;
-    std::map<std::pair<std::string, std::string>, double> m_link_last_delivery_us;
+    std::map<std::pair<std::string, std::string>, LinkState> m_link_state;
     std::mt19937_64 m_rng;
     std::atomic<std::uint64_t> m_delivered{0};
     abt::Timer m_timer; ///< delayed message delivery

@@ -6,6 +6,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <thread>
+#include <vector>
 
 using namespace mochi;
 using namespace std::chrono_literals;
@@ -378,4 +381,90 @@ TEST(AbtRuntime, FinalizeIsIdempotent) {
     rt->finalize();
     rt->finalize();
     SUCCEED();
+}
+
+TEST(AbtRuntime, FinalizeCompletesUltsParkedOnTheTimer) {
+    // A ULT asleep (or in a timed wait) when finalize() runs is woken early
+    // and runs to completion, instead of being dropped with the timer and
+    // leaking its stack and captured state.
+    auto rt = abt::Runtime::create_default();
+    auto token = std::make_shared<int>(42);
+    std::weak_ptr<int> watch = token;
+    abt::Eventual<void> started;
+    std::atomic<int> finished{0};
+    std::atomic<bool> wait_timed_out{false};
+    abt::Eventual<void> never;
+    rt->post(rt->primary_pool(), [&, r = rt.get(), held = std::move(token)] {
+        started.set();
+        r->sleep_for(50ms);
+        ++finished;
+    });
+    rt->post(rt->primary_pool(), [&] {
+        wait_timed_out = !never.wait_for(10s);
+        ++finished;
+    });
+    started.wait();
+    std::this_thread::sleep_for(5ms); // let both ULTs park
+    auto t0 = std::chrono::steady_clock::now();
+    rt->finalize();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, 5s);
+    EXPECT_EQ(finished.load(), 2);
+    EXPECT_TRUE(wait_timed_out.load());
+    EXPECT_TRUE(watch.expired());
+}
+
+TEST(AbtRuntime, PostAfterFinalizeIsAbortedUnrun) {
+    auto rt = abt::Runtime::create_default();
+    rt->finalize();
+    auto token = std::make_shared<int>(7);
+    std::weak_ptr<int> watch = token;
+    std::atomic<bool> ran{false};
+    rt->post(rt->primary_pool(), [&ran, held = std::move(token)] { ran = true; });
+    EXPECT_TRUE(watch.expired()); // captured state released at once
+    EXPECT_FALSE(ran.load());
+    EXPECT_EQ(rt->primary_pool()->size(), 0u);
+}
+
+TEST(AbtRuntime, XstreamChurnRunsEveryUltExactlyOnce) {
+    // Every xstream is a registration on an executor; a standalone one owns
+    // a one-worker crew. Churning xstreams while another thread posts pins
+    // the two lifecycle rules: the crew exists before the xstream subscribes
+    // to its pools, and goes only after it unsubscribed from all of them
+    // (a push in between would notify a missing executor).
+    auto rt = abt::Runtime::create(parse(R"({
+        "pools": [{"name": "__primary__"}, {"name": "work"}],
+        "xstreams": [{"name": "__primary__", "scheduler": {"pools": ["__primary__"]}},
+                     {"name": "w0", "scheduler": {"pools": ["work"]}}]
+    })")).value();
+    auto work = rt->find_pool("work").value();
+    constexpr int k_max_ults = 20000;
+    std::vector<std::atomic<int>> runs(k_max_ults);
+    std::atomic<int> total{0};
+    std::atomic<bool> churning{true};
+    int posted = 0; // written by the poster only; read after join
+    std::thread poster([&] {
+        // Post for as long as the churn lasts, so pushes race every cycle.
+        for (; churning.load() && posted < k_max_ults; ++posted) {
+            rt->post(work, [&runs, &total, i = posted] {
+                runs[static_cast<std::size_t>(i)].fetch_add(1);
+                total.fetch_add(1);
+            });
+            if (posted % 16 == 0) std::this_thread::yield();
+        }
+    });
+    for (int cycle = 0; cycle < 200; ++cycle) {
+        ASSERT_TRUE(rt->add_xstream(parse(R"({"name": "churn", "scheduler": {"pools": ["work"]}})"))
+                        .ok());
+        ASSERT_TRUE(rt->remove_xstream("churn").ok());
+    }
+    churning = false;
+    poster.join();
+    // Generous: only a lost ULT should ever hit it (sanitizer builds run
+    // ULTs slowly).
+    auto deadline = std::chrono::steady_clock::now() + 120s;
+    while (total.load() < posted && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(1ms);
+    ASSERT_EQ(total.load(), posted);
+    for (int i = 0; i < posted; ++i) ASSERT_EQ(runs[static_cast<std::size_t>(i)].load(), 1) << i;
+    rt->finalize();
 }

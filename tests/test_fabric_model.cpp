@@ -8,6 +8,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 using namespace mochi;
 using namespace std::chrono_literals;
@@ -162,6 +163,39 @@ TEST(FabricModel, MessagesDeliveredInOrderPerLink) {
     std::unique_lock lk{m};
     ASSERT_TRUE(cv.wait_for(lk, 5000ms, [&] { return seqs.size() == 50; }));
     for (std::uint64_t i = 0; i < 50; ++i) EXPECT_EQ(seqs[i], i);
+}
+
+TEST(FabricModel, SubMicrosecondDelayedLinkKeepsSendOrder) {
+    // Delays straddle the timer's 1 µs inline threshold: some messages are
+    // due at once, others wait in the timer. An inline delivery must not
+    // overtake an earlier message still pending on the same link, and
+    // deadlines must not be truncated or re-based after the fabric lock.
+    mercury::LinkModel model;
+    model.latency_us = 0.9;
+    model.jitter_us = 0.2;
+    auto fabric = mercury::Fabric::create(model);
+    constexpr std::uint64_t k_n = 20000;
+    std::mutex m;
+    std::condition_variable cv;
+    std::vector<std::uint64_t> seqs;
+    seqs.reserve(k_n);
+    auto a = fabric->attach("sim://a", [](Message) {});
+    auto b = fabric->attach("sim://b", [&](Message msg) {
+        std::lock_guard lk{m};
+        seqs.push_back(msg.seq);
+        cv.notify_all();
+    });
+    for (std::uint64_t i = 0; i < k_n; ++i) {
+        Message msg;
+        msg.seq = i;
+        ASSERT_TRUE((*a)->send("sim://b", std::move(msg)).ok());
+    }
+    std::unique_lock lk{m};
+    ASSERT_TRUE(cv.wait_for(lk, 10000ms, [&] { return seqs.size() == k_n; }));
+    std::size_t out_of_order = 0;
+    for (std::size_t i = 1; i < seqs.size(); ++i)
+        if (seqs[i] < seqs[i - 1]) ++out_of_order;
+    EXPECT_EQ(out_of_order, 0u);
 }
 
 TEST(FabricModel, DuplicateProbabilityDeliversTwice) {

@@ -1,14 +1,17 @@
 // Heap-allocation regression test for the zero-copy RPC hot path: after a
 // warm-up phase that grows every pool and reusable buffer to its working-set
 // size, a small-message echo round trip must perform ZERO heap allocations —
-// across all threads, covering the client forward path, the fabric fast
+// on the threads that carry it, covering the client forward path, the fabric fast
 // path, the progress loop, dispatch, the handler, and the response path.
 //
 // The test interposes global operator new/delete with a counting hook. The
-// counter is only armed during the measurement window, so gtest bookkeeping
-// and setup/teardown traffic stay invisible. Any steady-state allocation
+// counter is only armed during the measurement window, and only on the
+// threads that carry the RPC (the test thread and each instance's execution
+// stream), so gtest bookkeeping, setup/teardown traffic and the process's
+// other threads stay invisible. Any steady-state allocation
 // (a per-call std::function copy, an unpooled timer node, a payload buffer
 // that stopped being reused) fails the test with the exact count.
+#include "abt/sync.hpp"
 #include "margo/instance.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 // Sanitizer builds shift scheduling enough that an occasional extra pooled
 // object is live concurrently and a pool grows past its warmed size (a few
@@ -40,9 +44,13 @@ constexpr std::uint64_t k_alloc_budget = MOCHI_UNDER_SANITIZER ? 32 : 0;
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_allocs{0};
+/// Set on the threads that run the RPC; only their allocations count.
+thread_local bool t_rpc_thread = false;
+
+bool counting() noexcept { return t_rpc_thread && g_counting.load(std::memory_order_relaxed); }
 
 void* counted_alloc(std::size_t n) {
-    if (g_counting.load(std::memory_order_relaxed))
+    if (counting())
         g_allocs.fetch_add(1, std::memory_order_relaxed);
     void* p = std::malloc(n ? n : 1);
     if (!p) throw std::bad_alloc{};
@@ -50,7 +58,7 @@ void* counted_alloc(std::size_t n) {
 }
 
 void* counted_aligned_alloc(std::size_t n, std::size_t align) {
-    if (g_counting.load(std::memory_order_relaxed))
+    if (counting())
         g_allocs.fetch_add(1, std::memory_order_relaxed);
     void* p = nullptr;
     if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align, n ? n : 1) != 0)
@@ -99,6 +107,25 @@ struct EchoWorld {
                                    [](const margo::Request& req) {
                                        req.respond(req.payload());
                                    });
+        // Mark the carrier threads: this one, and each instance's execution
+        // stream (its one executor worker) through a ULT posted to it.
+        t_rpc_thread = true;
+        for (const auto& inst : {server, client}) {
+            auto rt = inst->runtime();
+            abt::Eventual<void> marked;
+            rt->post(rt->primary_pool(), [&marked] {
+                t_rpc_thread = true;
+                marked.set();
+            });
+            marked.wait();
+        }
+        // Grow every per-call pool past one spare block: a preempted thread
+        // may still hold the previous call's objects when the next call
+        // starts, and that must not show up as a steady-state allocation.
+        std::vector<margo::AsyncRequest> burst;
+        for (int i = 0; i < 16; ++i)
+            burst.push_back(client->forward_async("sim://server", "echo", "warm"));
+        for (auto& req : burst) (void)req.wait();
     }
     ~EchoWorld() {
         client->shutdown();

@@ -1,12 +1,15 @@
 // Unit tests for abt::Timer: ordering, cancellation semantics (including
 // the cancel-blocks-until-callback-finishes guarantee the synchronization
-// primitives rely on), and stress.
+// primitives rely on), child timers sharing a host's queue, and stress.
 #include "abt/timer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 using namespace mochi;
 using namespace std::chrono_literals;
@@ -109,4 +112,112 @@ TEST(Timer, CancelUnknownIdReturnsFalseQuickly) {
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
             .count();
     EXPECT_LT(elapsed_ms, 50.0);
+}
+
+// -- child timers: entries in the host's queue, tagged with their owner -----
+
+namespace {
+bool wait_until(const std::function<bool()>& done, std::chrono::milliseconds limit = 5000ms) {
+    auto deadline = std::chrono::steady_clock::now() + limit;
+    while (!done()) {
+        if (std::chrono::steady_clock::now() > deadline) return false;
+        std::this_thread::sleep_for(1ms);
+    }
+    return true;
+}
+} // namespace
+
+TEST(Timer, ChildStopDropsOnlyItsOwnEntries) {
+    abt::Timer host;
+    abt::Timer a{host};
+    abt::Timer b{host};
+    std::atomic<int> fired_a{0}, fired_b{0}, fired_host{0};
+    for (int i = 0; i < 5; ++i) {
+        EXPECT_NE(a.schedule(30ms, [&] { ++fired_a; }), 0u);
+        EXPECT_NE(b.schedule(30ms, [&] { ++fired_b; }), 0u);
+        EXPECT_NE(host.schedule(30ms, [&] { ++fired_host; }), 0u);
+    }
+    a.stop();
+    ASSERT_TRUE(wait_until([&] { return fired_b == 5 && fired_host == 5; }));
+    std::this_thread::sleep_for(20ms);
+    EXPECT_EQ(fired_a.load(), 0);
+}
+
+TEST(Timer, ChildStopWaitsForRunningCallback) {
+    // The finalize-safety contract: after a child's stop() returns, none of
+    // its callbacks is running, so a runtime may free what they capture.
+    abt::Timer host;
+    abt::Timer child{host};
+    std::atomic<bool> in_callback{false};
+    std::atomic<bool> callback_done{false};
+    child.schedule(1ms, [&] {
+        in_callback = true;
+        std::this_thread::sleep_for(100ms);
+        callback_done = true;
+    });
+    ASSERT_TRUE(wait_until([&] { return in_callback.load(); }));
+    child.stop();
+    EXPECT_TRUE(callback_done.load());
+}
+
+TEST(Timer, ScheduleOnStoppedChildReturnsZero) {
+    abt::Timer host;
+    abt::Timer child{host};
+    child.stop();
+    std::atomic<int> fired{0};
+    EXPECT_EQ(child.schedule(1ms, [&] { ++fired; }), 0u);
+    EXPECT_FALSE(child.cancel(0));
+    // The host and a fresh sibling are unaffected.
+    abt::Timer sibling{host};
+    EXPECT_NE(sibling.schedule(1ms, [&] { ++fired; }), 0u);
+    ASSERT_TRUE(wait_until([&] { return fired == 1; }));
+    std::this_thread::sleep_for(10ms);
+    EXPECT_EQ(fired.load(), 1);
+}
+
+TEST(Timer, ChildCancelsOnlyItsOwnEntries) {
+    abt::Timer host;
+    abt::Timer a{host};
+    abt::Timer b{host};
+    std::atomic<int> fired{0};
+    auto id = a.schedule(30ms, [&] { ++fired; });
+    EXPECT_FALSE(b.cancel(id)); // not b's entry: left pending
+    EXPECT_TRUE(a.cancel(id));
+    EXPECT_FALSE(a.cancel(id));
+    std::this_thread::sleep_for(60ms);
+    EXPECT_EQ(fired.load(), 0);
+}
+
+TEST(Timer, ExpireWakeupsRunsOnlyOwnWakeupsNow) {
+    abt::Timer host;
+    abt::Timer a{host};
+    abt::Timer b{host};
+    std::atomic<int> woke_a{0}, woke_b{0}, plain_a{0};
+    for (int i = 0; i < 3; ++i) {
+        a.schedule_wakeup(10s, [&] { ++woke_a; });
+        b.schedule_wakeup(10s, [&] { ++woke_b; });
+    }
+    a.schedule(10s, [&] { ++plain_a; });
+    EXPECT_EQ(a.expire_wakeups(), 3u);
+    EXPECT_EQ(woke_a.load(), 3); // ran on this thread, before returning
+    EXPECT_EQ(a.expire_wakeups(), 0u);
+    EXPECT_EQ(woke_b.load(), 0);
+    EXPECT_EQ(plain_a.load(), 0);
+}
+
+TEST(Timer, ScheduleAtKeepsOrderOfEqualDeadlines) {
+    abt::Timer timer;
+    std::mutex m;
+    std::vector<int> order;
+    auto deadline = std::chrono::steady_clock::now() + 20ms;
+    for (int i = 0; i < 100; ++i)
+        timer.schedule_at(deadline, [&, i] {
+            std::lock_guard lk{m};
+            order.push_back(i);
+        });
+    ASSERT_TRUE(wait_until([&] {
+        std::lock_guard lk{m};
+        return order.size() == 100;
+    }));
+    for (int i = 0; i < 100; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
